@@ -2,7 +2,6 @@
 
 All functions take and return (n_leads, window_len) float arrays and are
 deterministic given the input, the parameters, and the RngStream seed.
-``make_views`` lifts them to Window objects for the training loops.
 """
 
 from __future__ import annotations
@@ -11,8 +10,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-
-from .signal_core import Window
 
 __all__ = [
     "RngStream",
@@ -26,7 +23,6 @@ __all__ = [
     "time_warp",
     "combine",
     "apply_augmentation",
-    "make_views",
     "COMBINATION_POOL",
 ]
 
@@ -198,19 +194,39 @@ def combine(x, rng: RngStream):
     picks = rng.generator.choice(len(COMBINATION_POOL), size=4, replace=False)
     for i in picks:
         kind, params = COMBINATION_POOL[i]
-        x = _apply_kind(x, kind, params, rng)
+        x = _RECIPES[kind][1](x, params, rng)
     return x
 
 
-_GRIDS = {
-    "GaussianNoise": lambda p: p["sigma"] > 0,
-    "ChannelScaling": lambda p: 0 < p["a"] <= p["b"],
-    "Negation": lambda p: True,
-    "BaselineWander": lambda p: p["s_bw"] >= 0 and p["f_w"] > 0,
-    "EmgNoise": lambda p: p["sigma"] > 0,
-    "Masking": lambda p: 0 <= p["a_pct"] <= p["b_pct"] <= 100,
-    "TimeWarping": lambda p: p["w"] >= 1 and int(p["w"]) == p["w"] and p["r_pct"] > 0,
-    "Combination": lambda p: True,
+# kind -> (check of its parameters, application); a check raises KeyError
+# for a missing parameter
+_RECIPES = {
+    "GaussianNoise": (
+        lambda p: p["sigma"] > 0,
+        lambda x, p, rng: gaussian_noise(x, p["sigma"], rng),
+    ),
+    "ChannelScaling": (
+        lambda p: 0 < p["a"] <= p["b"],
+        lambda x, p, rng: channel_scale(x, p["a"], p["b"], rng),
+    ),
+    "Negation": (lambda p: True, lambda x, p, rng: negate(x)),
+    "BaselineWander": (
+        lambda p: p["s_bw"] >= 0 and p["f_w"] > 0,
+        lambda x, p, rng: baseline_wander(x, p["f_w"], p["s_bw"], rng),
+    ),
+    "EmgNoise": (
+        lambda p: p["sigma"] > 0,
+        lambda x, p, rng: emg_noise(x, p["sigma"], rng),
+    ),
+    "Masking": (
+        lambda p: 0 <= p["a_pct"] <= p["b_pct"] <= 100,
+        lambda x, p, rng: mask(x, p["a_pct"], p["b_pct"], rng),
+    ),
+    "TimeWarping": (
+        lambda p: p["w"] >= 1 and int(p["w"]) == p["w"] and p["r_pct"] > 0,
+        lambda x, p, rng: time_warp(x, int(p["w"]), p["r_pct"], rng),
+    ),
+    "Combination": (lambda p: True, lambda x, p, rng: combine(x, rng)),
 }
 
 
@@ -222,10 +238,10 @@ class AugmentationSpec:
     params: dict
 
     def __post_init__(self):
-        if self.kind not in _GRIDS:
+        if self.kind not in _RECIPES:
             raise ValueError(f"unknown augmentation kind {self.kind!r}")
         try:
-            ok = _GRIDS[self.kind](self.params)
+            ok = _RECIPES[self.kind][0](self.params)
         except KeyError as e:
             raise ValueError(f"missing parameter {e} for {self.kind}") from None
         if not ok:
@@ -240,35 +256,6 @@ class AugmentationSpec:
         return AugmentationSpec(obj["kind"], obj.get("params", {}))
 
 
-def _apply_kind(x, kind, params, rng: RngStream):
-    if kind == "GaussianNoise":
-        return gaussian_noise(x, params["sigma"], rng)
-    if kind == "ChannelScaling":
-        return channel_scale(x, params["a"], params["b"], rng)
-    if kind == "Negation":
-        return negate(x)
-    if kind == "BaselineWander":
-        return baseline_wander(x, params["f_w"], params["s_bw"], rng)
-    if kind == "EmgNoise":
-        return emg_noise(x, params["sigma"], rng)
-    if kind == "Masking":
-        return mask(x, params["a_pct"], params["b_pct"], rng)
-    if kind == "TimeWarping":
-        return time_warp(x, int(params["w"]), params["r_pct"], rng)
-    if kind == "Combination":
-        return combine(x, rng)
-    raise ValueError(f"unknown augmentation kind {kind!r}")
-
-
 def apply_augmentation(x, spec: AugmentationSpec, rng: RngStream):
-    return _apply_kind(_arr(x), spec.kind, spec.params, rng)
+    return _RECIPES[spec.kind][1](_arr(x), spec.params, rng)
 
-
-def make_views(x: Window, spec: AugmentationSpec, rng: RngStream):
-    """Two independent applications of `spec`, giving a correlated view pair."""
-    v1 = apply_augmentation(x.data, spec, rng)
-    v2 = apply_augmentation(x.data, spec, rng)
-    return (
-        Window(v1, x.source_subject, x.labels),
-        Window(v2, x.source_subject, x.labels),
-    )

@@ -5,6 +5,10 @@ distshift, report. Structured settings live in a JSON config file; flags
 carry only paths, the seed, and the command. Every output directory gets a
 manifest.json with the seed and a hash of the config that produced it.
 
+pretrain writes its run spec (method, dataset, preprocessing, encoder) into
+the checkpoint. lineval, finetune and distshift read windows and build the
+encoder from that spec, so a checkpoint is always consumed as it was trained.
+
 Exit codes: 0 success, 2 config error, 3 data error, 4 runtime/numeric error.
 """
 
@@ -15,6 +19,7 @@ import csv
 import hashlib
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +39,11 @@ class ConfigError(Exception):
 
 class DataError(Exception):
     pass
+
+
+_DEFAULT_FRACTIONS = (0.8, 0.1, 0.1)
+# run-spec keys that lineval, finetune and distshift take from the checkpoint
+_INHERITED = ("method", "target_hz", "window_len", "standardize_windows", "encoder")
 
 
 def _load_config(path) -> dict:
@@ -101,27 +111,85 @@ def _load_dataset(path) -> list:
     return records
 
 
-def _prepare_split(config: dict, dataset_path, seed: int):
-    records = _load_dataset(dataset_path)
-    target_hz = config.get("target_hz", 100.0)
-    records = [
-        signal_core.resample(r, target_hz) if r.sampling_rate_hz != target_hz else r
-        for r in records
-    ]
-    fractions = tuple(config.get("fractions", (0.8, 0.1, 0.1)))
-    split = signal_core.split_by_subject(records, fractions, seed)
-    window_len = int(config.get("window_len", 250))
-    return signal_core.split_windows(
-        split, window_len, standardize=bool(config.get("standardize_windows", False))
-    )
+def _preprocessing(config: dict) -> dict:
+    return {
+        "target_hz": float(config.get("target_hz", 100.0)),
+        "window_len": int(config.get("window_len", 250)),
+        "standardize_windows": bool(config.get("standardize_windows", False)),
+    }
 
 
-def _encoder_config(config: dict, n_leads: int) -> EncoderConfig:
+def _encoder_fields(config: dict, n_leads: int) -> dict:
+    """The encoder a config describes, defaults filled in, as JSON-ready fields."""
     enc = dict(config.get("encoder", {}))
     enc.setdefault("n_leads", n_leads)
     if "conv_blocks" in enc:
         enc["conv_blocks"] = tuple(tuple(b) for b in enc["conv_blocks"])
-    return EncoderConfig(**enc)
+    cfg = EncoderConfig(**enc)
+    return dict(asdict(cfg), conv_blocks=[list(b) for b in cfg.conv_blocks])
+
+
+def _encoder_config(spec: dict) -> EncoderConfig:
+    enc = spec["encoder"]
+    return EncoderConfig(**dict(enc, conv_blocks=tuple(tuple(b) for b in enc["conv_blocks"])))
+
+
+def _load_windows(dataset_path, spec: dict, fractions=None, seed: int = 0):
+    """Windows of a dataset, preprocessed as the run spec says.
+
+    Records are resampled to the spec's rate, cut into windows of its length
+    and standardized if it says so. With `fractions` they are first split by
+    subject (seeded); without, every window lands in `train`, in sorted-file
+    order.
+    """
+    records = _load_dataset(dataset_path)
+    if "encoder" in spec:
+        leads = spec["encoder"]["n_leads"]
+        other = sorted({r.n_leads for r in records} - {leads})
+        if other:
+            raise DataError(
+                f"{dataset_path} has {other[0]}-lead records; "
+                f"the checkpoint's encoder takes {leads} leads"
+            )
+    target_hz = spec["target_hz"]
+    records = [
+        signal_core.resample(r, target_hz) if r.sampling_rate_hz != target_hz else r
+        for r in records
+    ]
+    if fractions is None:
+        split = signal_core.DatasetSplit(records, [], [])
+    else:
+        split = signal_core.split_by_subject(records, tuple(fractions), seed)
+    return signal_core.split_windows(
+        split, spec["window_len"], standardize=spec["standardize_windows"]
+    )
+
+
+def _load_run(config: dict):
+    """(params, run spec) of the config's checkpoint.
+
+    A consumer config may repeat an inherited key only with the spec's value.
+    """
+    ckpt = config["checkpoint"]
+    if not Path(ckpt).exists():
+        raise DataError(f"checkpoint not found: {ckpt}")
+    params, spec = load_checkpoint(ckpt)
+    if spec is None:
+        raise DataError(
+            f"checkpoint {ckpt} carries no run spec; re-create it with 'ecgssl pretrain'"
+        )
+    given = dict(
+        _preprocessing(config),
+        method=config.get("method"),
+        encoder=_encoder_fields(config, spec["encoder"]["n_leads"]),
+    )
+    for key in _INHERITED:
+        if key in config and given[key] != spec[key]:
+            raise ConfigError(
+                f"{key!r} is {config[key]!r} but the checkpoint was pre-trained "
+                f"with {spec[key]!r}; leave it out to inherit it"
+            )
+    return params, spec
 
 
 def _augmentation_spec(config: dict) -> augment.AugmentationSpec:
@@ -176,75 +244,48 @@ def cmd_pretrain(config, out_dir: Path, seed: int):
     dataset = config.get("dataset")
     if not dataset:
         raise ConfigError("pretrain config needs a 'dataset' path")
-    split = _prepare_split(config, dataset, seed)
+    spec = dict(
+        _preprocessing(config), method=config.get("method", "SimCLR"), dataset=str(dataset)
+    )
+    split = _load_windows(dataset, spec, config.get("fractions", _DEFAULT_FRACTIONS), seed)
     pc = train_harness.PretrainConfig(
-        method=config.get("method", "SimCLR"),
+        method=spec["method"],
         augmentation=_augmentation_spec(config),
         seed=seed,
         **config.get("pretrain", {}),
     )
-    enc_cfg = _encoder_config(config, split.train[0].data.shape[0])
-    params, log = train_harness.pretrain(pc, split, enc_cfg)
-    save_checkpoint(out_dir / "checkpoint.ckpt", params)
+    spec["encoder"] = _encoder_fields(config, split.train[0].data.shape[0])
+    params, log = train_harness.pretrain(pc, split, _encoder_config(spec))
+    save_checkpoint(out_dir / "checkpoint.ckpt", params, spec)
     log.to_csv(out_dir / "pretrain_log.csv")
-    with open(out_dir / "pretrain_meta.json", "w") as f:
-        json.dump(
-            {
-                "method": pc.method,
-                "dataset": str(dataset),
-                "seed": seed,
-                "config_hash": _config_hash(config),
-                "encoder": {
-                    "n_leads": enc_cfg.n_leads,
-                    "conv_blocks": [list(b) for b in enc_cfg.conv_blocks],
-                    "embedding_dim": enc_cfg.embedding_dim,
-                    "projection_dim": enc_cfg.projection_dim,
-                    "prediction_hidden": enc_cfg.prediction_hidden,
-                },
-            },
-            f,
-            indent=2,
-            sort_keys=True,
-        )
 
 
 def _finetune_common(config, out_dir: Path, seed: int, freeze: bool):
     dataset = config.get("dataset")
-    ckpt = config.get("checkpoint")
-    if not dataset or not ckpt:
+    if not dataset or not config.get("checkpoint"):
         raise ConfigError("config needs 'dataset' and 'checkpoint' paths")
-    if not Path(ckpt).exists():
-        raise DataError(f"checkpoint not found: {ckpt}")
-    split = _prepare_split(config, dataset, seed)
-    pretrained, _ = load_checkpoint(ckpt)
-    enc_cfg = _encoder_config_from_meta(config, ckpt, split)
+    pretrained, spec = _load_run(config)
+    split = _load_windows(dataset, spec, config.get("fractions", _DEFAULT_FRACTIONS), seed)
+    enc_cfg = _encoder_config(spec)
     fc_kwargs = dict(config.get("finetune", {}))
     fc_kwargs["freeze_encoder"] = freeze
     fc = train_harness.FinetuneConfig(seed=seed, **fc_kwargs)
     model, log = train_harness.finetune(pretrained, fc, split, enc_cfg)
     pred = train_harness.predict_scores(model, enc_cfg, split.test)
-    _emit_metrics(out_dir, config, seed, pred)
-    save_checkpoint(out_dir / "finetuned.ckpt", model)
+    _emit_metrics(out_dir, config, spec, seed, pred)
+    save_checkpoint(out_dir / "finetuned.ckpt", model, spec)
     log.to_csv(out_dir / "finetune_log.csv")
 
 
-def _encoder_config_from_meta(config, ckpt_path, split):
-    meta_path = Path(ckpt_path).parent / "pretrain_meta.json"
-    if "encoder" not in config and meta_path.exists():
-        with open(meta_path) as f:
-            config = dict(config, encoder=json.load(f)["encoder"])
-    return _encoder_config(config, split.train[0].data.shape[0])
-
-
-def _emit_metrics(out_dir: Path, config, seed, pred):
+def _emit_metrics(out_dir: Path, config, spec, seed, pred):
     out_dir.mkdir(parents=True, exist_ok=True)
     per_class = metrics.per_class_f1(pred)
     auc_vec, auc_macro, skipped = metrics.auc(pred)
     summary = {
         "seed": seed,
         "config_hash": _config_hash(config),
-        "method": config.get("method", ""),
-        "pretrain_dataset": config.get("pretrain_dataset", ""),
+        "method": spec["method"],
+        "pretrain_dataset": spec["dataset"],
         "test_dataset": str(config.get("dataset", "")),
         "metrics": {
             "macro_f1": metrics.macro_f1(pred),
@@ -279,37 +320,18 @@ def cmd_lineval(config, out_dir: Path, seed: int):
 
 
 def cmd_distshift(config, out_dir: Path, seed: int):
-    ckpt = config.get("checkpoint")
     ref_path = config.get("dataset_ref")
     other_path = config.get("dataset_other")
-    if not ckpt or not ref_path or not other_path:
+    if not config.get("checkpoint") or not ref_path or not other_path:
         raise ConfigError(
             "distshift config needs 'checkpoint', 'dataset_ref', 'dataset_other'"
         )
-    if not Path(ckpt).exists():
-        raise DataError(f"checkpoint not found: {ckpt}")
-    params, _ = load_checkpoint(ckpt)
-
-    def load_windows(p):
-        records = _load_dataset(p)
-        target_hz = config.get("target_hz", 100.0)
-        records = [
-            signal_core.resample(r, target_hz)
-            if r.sampling_rate_hz != target_hz
-            else r
-            for r in records
-        ]
-        wl = int(config.get("window_len", 250))
-        return [w for r in records for w in signal_core.window(r, wl)]
-
-    ref_w = load_windows(ref_path)
-    other_w = load_windows(other_path)
-    enc_cfg = _encoder_config_from_meta_simple(config, ckpt, ref_w)
+    params, spec = _load_run(config)
     report = distshift.analyze_pair(
         params,
-        enc_cfg,
-        ref_w,
-        other_w,
+        _encoder_config(spec),
+        _load_windows(ref_path, spec).train,
+        _load_windows(other_path, spec).train,
         resolution=int(config.get("resolution", 256)),
         ref_tag=str(ref_path),
         other_tag=str(other_path),
@@ -319,14 +341,6 @@ def cmd_distshift(config, out_dir: Path, seed: int):
         f.write(report.to_json())
     for grid, name in zip(report.grids, ("density_ref.csv", "density_other.csv")):
         np.savetxt(out_dir / name, grid.density, delimiter=",")
-
-
-def _encoder_config_from_meta_simple(config, ckpt_path, windows):
-    meta_path = Path(ckpt_path).parent / "pretrain_meta.json"
-    if "encoder" not in config and meta_path.exists():
-        with open(meta_path) as f:
-            config = dict(config, encoder=json.load(f)["encoder"])
-    return _encoder_config(config, windows[0].data.shape[0])
 
 
 def cmd_report(config, out_dir: Path, seed: int):

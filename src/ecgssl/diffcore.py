@@ -8,6 +8,7 @@ with ReLU, global average pooling over time, and two-layer MLP heads.
 
 from __future__ import annotations
 
+import json
 import struct
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -44,6 +45,20 @@ def _as_array(x) -> np.ndarray:
     if not np.all(np.isfinite(a)):
         raise ValueError("non-finite values in tensor data")
     return a
+
+
+def _topo_visit(t, seen: set, topo: list) -> None:
+    """Append the tape under `t` to `topo`, parents first.
+
+    A module function, not a closure: a recursive closure refers to itself,
+    and that cycle would keep the whole tape alive until the cyclic GC runs.
+    """
+    if id(t) in seen:
+        return
+    seen.add(id(t))
+    for p in t._parents:
+        _topo_visit(p, seen, topo)
+    topo.append(t)
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -95,17 +110,8 @@ class Tensor:
     def backward(self):
         if self.data.size != 1:
             raise ValueError("backward() requires a scalar loss")
-        topo, seen = [], set()
-
-        def visit(t):
-            if id(t) in seen:
-                return
-            seen.add(id(t))
-            for p in t._parents:
-                visit(p)
-            topo.append(t)
-
-        visit(self)
+        topo = []
+        _topo_visit(self, set(), topo)
         self._ensure_grad()
         self.grad = np.ones_like(self.data)
         for t in reversed(topo):
@@ -414,9 +420,6 @@ class ModelParams:
         merged.update(other.params)
         return ModelParams(merged)
 
-    def checksum(self) -> float:
-        return float(sum(np.sum(np.abs(t.data)) for t in self.params.values()))
-
 
 def _uniform_init(rng: np.random.Generator, shape, fan_in: int) -> Tensor:
     bound = 1.0 / np.sqrt(fan_in)
@@ -540,76 +543,58 @@ def ema_update(target: ModelParams, online: ModelParams, decay: float) -> None:
 # checkpointing
 
 _CKPT_MAGIC = b"CKPT"
-_CKPT_VERSION = 1
+_CKPT_VERSION = 2
 
 
-def save_checkpoint(path, params: ModelParams, adam: AdamState | None = None):
-    """Binary checkpoint: magic, version, named f32 parameter table.
+def save_checkpoint(path, params: ModelParams, spec: dict | None = None):
+    """Binary checkpoint: magic, version, run spec, named f32 parameter table.
 
-    Layout: "CKPT", u32 version, u32 n_params, then per parameter
-    (u16 name_len, name utf-8, u32 ndim, u32 dims..., f32 data C-order),
-    then u8 has_optimizer and, if set, u64 step + f64 lr/wd + m/v tables.
+    Layout (version 2): "CKPT", u32 version, u32 spec_len, spec as utf-8
+    JSON with sorted keys (``null`` when there is none), u32 n_params, then
+    per parameter (u16 name_len, name utf-8, u32 ndim, u32 dims..., f32 data
+    C-order). The spec is opaque here; the CLI decides what it holds.
     """
-
-    def write_table(f, items):
-        for name, arr in items:
+    spec_bytes = json.dumps(spec, sort_keys=True).encode("utf-8")
+    with open(path, "wb") as f:
+        f.write(_CKPT_MAGIC)
+        f.write(struct.pack("<II", _CKPT_VERSION, len(spec_bytes)))
+        f.write(spec_bytes)
+        f.write(struct.pack("<I", len(params.params)))
+        for name, t in params.params.items():
             nb = name.encode("utf-8")
             f.write(struct.pack("<H", len(nb)))
             f.write(nb)
-            f.write(struct.pack("<I", arr.ndim))
-            for d in arr.shape:
+            f.write(struct.pack("<I", t.data.ndim))
+            for d in t.data.shape:
                 f.write(struct.pack("<I", d))
-            f.write(np.ascontiguousarray(arr, dtype=np.float32).tobytes())
-
-    with open(path, "wb") as f:
-        f.write(_CKPT_MAGIC)
-        f.write(struct.pack("<I", _CKPT_VERSION))
-        f.write(struct.pack("<I", len(params.params)))
-        write_table(f, [(n, t.data) for n, t in params.params.items()])
-        if adam is None:
-            f.write(struct.pack("<B", 0))
-        else:
-            f.write(struct.pack("<B", 1))
-            f.write(struct.pack("<Q", adam.step))
-            f.write(struct.pack("<dd", adam.lr, adam.weight_decay))
-            f.write(struct.pack("<I", len(adam.m)))
-            write_table(f, sorted(adam.m.items()))
-            write_table(f, sorted(adam.v.items()))
+            f.write(np.ascontiguousarray(t.data, dtype=np.float32).tobytes())
 
 
 def load_checkpoint(path):
-    """Returns (ModelParams, AdamState | None)."""
+    """Returns (ModelParams, spec dict | None).
 
-    def read_table(f, count):
-        out = OrderedDict()
-        for _ in range(count):
+    Version 1 files (no spec; a trailing optimizer block, ignored) load with
+    ``spec = None``.
+    """
+    with open(path, "rb") as f:
+        if f.read(4) != _CKPT_MAGIC:
+            raise ValueError("not a checkpoint file (bad magic)")
+        (version,) = struct.unpack("<I", f.read(4))
+        if version == 1:
+            spec = None
+        elif version == 2:
+            (spec_len,) = struct.unpack("<I", f.read(4))
+            spec = json.loads(f.read(spec_len).decode("utf-8"))
+        else:
+            raise ValueError(f"unsupported checkpoint version {version}")
+        (n_params,) = struct.unpack("<I", f.read(4))
+        params = OrderedDict()
+        for _ in range(n_params):
             (nlen,) = struct.unpack("<H", f.read(2))
             name = f.read(nlen).decode("utf-8")
             (ndim,) = struct.unpack("<I", f.read(4))
             shape = tuple(struct.unpack("<I", f.read(4))[0] for _ in range(ndim))
             n = int(np.prod(shape)) if shape else 1
             data = np.frombuffer(f.read(4 * n), dtype=np.float32).reshape(shape)
-            out[name] = data.astype(np.float64)
-        return out
-
-    with open(path, "rb") as f:
-        if f.read(4) != _CKPT_MAGIC:
-            raise ValueError("not a checkpoint file (bad magic)")
-        (version,) = struct.unpack("<I", f.read(4))
-        if version != _CKPT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {version}")
-        (n_params,) = struct.unpack("<I", f.read(4))
-        table = read_table(f, n_params)
-        params = ModelParams(
-            OrderedDict((n, Tensor(a, requires_grad=True)) for n, a in table.items())
-        )
-        (has_opt,) = struct.unpack("<B", f.read(1))
-        adam = None
-        if has_opt:
-            (step,) = struct.unpack("<Q", f.read(8))
-            lr, wd = struct.unpack("<dd", f.read(16))
-            (n_opt,) = struct.unpack("<I", f.read(4))
-            m = read_table(f, n_opt)
-            v = read_table(f, n_opt)
-            adam = AdamState(lr=lr, weight_decay=wd, step=step, m=dict(m), v=dict(v))
-        return params, adam
+            params[name] = Tensor(data.astype(np.float64), requires_grad=True)
+    return ModelParams(params), spec

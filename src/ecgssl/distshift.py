@@ -2,14 +2,12 @@
 overlap index.
 
 The overlap index is the integral of the pointwise minimum of two estimated
-densities: 1 for identical distributions, 0 for disjoint ones. The built-in
-reducer is PCA fitted on a reference set; an externally computed 2-D
-reduction can be imported from CSV instead.
+densities: 1 for identical distributions, 0 for disjoint ones. The reducer
+is PCA fitted on a reference set.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass, field
 
@@ -29,8 +27,6 @@ __all__ = [
     "overlap_index",
     "axis_overlap_1d",
     "analyze_pair",
-    "read_reduction_csv",
-    "write_reduction_csv",
 ]
 
 
@@ -260,19 +256,3 @@ def analyze_pair(
     )
     return OverlapReport(eta, (g1, g2), ref_tag, axis_etas)
 
-
-def write_reduction_csv(path, reduced: ReducedEmbedding):
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow([f"source_tag={reduced.source_tag}", ""])
-        for row in reduced.points:
-            w.writerow([f"{row[0]:.17g}", f"{row[1]:.17g}"])
-
-
-def read_reduction_csv(path) -> ReducedEmbedding:
-    with open(path, newline="") as f:
-        r = csv.reader(f)
-        header = next(r)
-        tag = header[0].split("=", 1)[1] if "=" in header[0] else ""
-        pts = [[float(a), float(b)] for a, b, *_ in r if a]
-    return ReducedEmbedding(np.array(pts), "external-import", tag)

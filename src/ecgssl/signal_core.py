@@ -26,7 +26,6 @@ __all__ = [
     "split_windows",
     "split_by_subject",
     "generate_synthetic",
-    "read_record_csv",
     "write_record_csv",
     "read_record_binary",
     "write_record_binary",
@@ -343,19 +342,6 @@ def write_record_csv(path, record: EcgRecord):
         w.writerow([f"lead_{i}" for i in range(record.n_leads)])
         for row in record.leads.T:
             w.writerow([f"{v:.17g}" for v in row])
-
-
-def read_record_csv(path, subject_id, sampling_rate_hz, labels=None) -> EcgRecord:
-    with open(path, newline="") as f:
-        r = csv.reader(f)
-        header = next(r)
-        rows = [[float(v) for v in row] for row in r if row]
-    leads = np.array(rows, dtype=np.float64).T
-    if leads.shape[0] != len(header):
-        raise ValueError("column count does not match header")
-    if labels is None:
-        labels = LabelSet((), ())
-    return EcgRecord(subject_id, leads, sampling_rate_hz, labels)
 
 
 def write_record_binary(path, record: EcgRecord):

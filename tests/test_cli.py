@@ -1,9 +1,13 @@
 import json
+import struct
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from ecgssl import distshift, signal_core
 from ecgssl.cli import main
+from ecgssl.diffcore import EncoderConfig, load_checkpoint
 
 
 def write_config(path: Path, config: dict) -> str:
@@ -46,6 +50,12 @@ def data_dir(tmp_path_factory):
                     "noise_sigma": 0.3,
                     "bump_amplitudes": [0.6, 0.4, 0.9],
                 },
+                "cohortTwoLead": {
+                    "classes": ["normal", "fast_rate"],
+                    "n_subjects_per_class": 2,
+                    "beats_per_record": 8,
+                    "n_leads": 2,
+                },
             }
         },
     )
@@ -61,6 +71,25 @@ def pretrain_dir(data_dir, tmp_path_factory):
         {
             "dataset": str(data_dir / "cohortA"),
             "method": "SimCLR",
+            "encoder": SMALL_ENCODER,
+            "fractions": [0.6, 0.2, 0.2],
+            "pretrain": {"epochs": 2, "batch_size": 8},
+        },
+    )
+    out = root / "run"
+    assert run("pretrain", cfg, out, seed=1) == 0
+    return out
+
+
+@pytest.fixture(scope="module")
+def standardized_pretrain_dir(data_dir, tmp_path_factory):
+    root = tmp_path_factory.mktemp("pre_std")
+    cfg = write_config(
+        root / "pre.json",
+        {
+            "dataset": str(data_dir / "cohortA"),
+            "method": "SimCLR",
+            "standardize_windows": True,
             "encoder": SMALL_ENCODER,
             "fractions": [0.6, 0.2, 0.2],
             "pretrain": {"epochs": 2, "batch_size": 8},
@@ -95,9 +124,13 @@ class TestPretrain:
     def test_outputs(self, pretrain_dir):
         assert (pretrain_dir / "checkpoint.ckpt").exists()
         assert (pretrain_dir / "pretrain_log.csv").exists()
-        meta = json.loads((pretrain_dir / "pretrain_meta.json").read_text())
-        assert meta["method"] == "SimCLR"
-        assert meta["encoder"]["projection_dim"] == 4
+        _, spec = load_checkpoint(pretrain_dir / "checkpoint.ckpt")
+        assert spec["method"] == "SimCLR"
+        assert spec["dataset"].endswith("cohortA")
+        assert spec["target_hz"] == 100.0
+        assert spec["window_len"] == 250
+        assert spec["standardize_windows"] is False
+        assert spec["encoder"] == dict(SMALL_ENCODER, n_leads=1)
 
     def test_rerun_byte_identical(self, data_dir, tmp_path):
         cfg = write_config(
@@ -152,6 +185,57 @@ class TestLineval:
         )
         assert run("lineval", cfg, tmp_path / "out") == 3
 
+    def test_setting_differing_from_checkpoint_is_config_error(
+        self, data_dir, standardized_pretrain_dir, tmp_path, capsys
+    ):
+        cfg = write_config(
+            tmp_path / "lin.json",
+            {
+                "dataset": str(data_dir / "cohortA"),
+                "checkpoint": str(standardized_pretrain_dir / "checkpoint.ckpt"),
+                "standardize_windows": False,
+            },
+        )
+        assert run("lineval", cfg, tmp_path / "out") == 2
+        assert "'standardize_windows'" in capsys.readouterr().err
+
+    def test_lead_count_differing_from_encoder_is_data_error(
+        self, data_dir, pretrain_dir, tmp_path
+    ):
+        cfg = write_config(
+            tmp_path / "lin.json",
+            {
+                "dataset": str(data_dir / "cohortTwoLead"),
+                "checkpoint": str(pretrain_dir / "checkpoint.ckpt"),
+            },
+        )
+        assert run("lineval", cfg, tmp_path / "out") == 3
+
+    def test_checkpoint_without_spec_is_data_error(
+        self, data_dir, pretrain_dir, tmp_path, capsys
+    ):
+        # version 1 layout: magic, version, parameter table, optimizer flag
+        params, _ = load_checkpoint(pretrain_dir / "checkpoint.ckpt")
+        blob = b"CKPT" + struct.pack("<II", 1, len(params.names()))
+        for name, t in params.params.items():
+            blob += struct.pack("<H", len(name)) + name.encode()
+            blob += struct.pack("<I", t.data.ndim)
+            blob += b"".join(struct.pack("<I", d) for d in t.data.shape)
+            blob += t.data.astype(np.float32).tobytes()
+        v1 = tmp_path / "v1.ckpt"
+        v1.write_bytes(blob + struct.pack("<B", 0))
+        loaded, spec = load_checkpoint(v1)
+        assert spec is None
+        for name in params.names():
+            np.testing.assert_array_equal(loaded[name].data, params[name].data)
+        cfg = write_config(
+            tmp_path / "lin.json",
+            {"dataset": str(data_dir / "cohortA"), "checkpoint": str(v1)},
+        )
+        assert run("lineval", cfg, tmp_path / "out") == 3
+        err = capsys.readouterr().err
+        assert "no run spec" in err and len(err.strip().splitlines()) == 1
+
 
 class TestFinetune:
     def test_smoke(self, data_dir, pretrain_dir, tmp_path):
@@ -188,6 +272,42 @@ class TestDistshift:
         assert (out / "density_ref.csv").exists()
         assert (out / "density_other.csv").exists()
 
+    def test_embeds_windows_as_pretrained(
+        self, data_dir, standardized_pretrain_dir, tmp_path
+    ):
+        ckpt = standardized_pretrain_dir / "checkpoint.ckpt"
+        cfg = write_config(
+            tmp_path / "ds.json",
+            {
+                "checkpoint": str(ckpt),
+                "dataset_ref": str(data_dir / "cohortA"),
+                "dataset_other": str(data_dir / "cohortB"),
+                "standardize_windows": True,
+                "resolution": 64,
+            },
+        )
+        assert run("distshift", cfg, tmp_path / "out", seed=0) == 0
+        eta = json.loads((tmp_path / "out" / "overlap.json").read_text())["eta"]
+
+        def standardized_windows(cohort):
+            files = sorted((data_dir / cohort / "records").glob("*.esig"))
+            return [
+                signal_core.standardize_window(w)
+                for f in files
+                for w in signal_core.window(signal_core.read_record_binary(f), 250)
+            ]
+
+        params, _ = load_checkpoint(ckpt)
+        enc = dict(SMALL_ENCODER, conv_blocks=tuple(map(tuple, SMALL_ENCODER["conv_blocks"])))
+        report = distshift.analyze_pair(
+            params,
+            EncoderConfig(n_leads=1, **enc),
+            standardized_windows("cohortA"),
+            standardized_windows("cohortB"),
+            resolution=64,
+        )
+        assert eta == report.eta
+
     def test_missing_keys_is_config_error(self, tmp_path):
         cfg = write_config(tmp_path / "ds.json", {"checkpoint": "x"})
         assert run("distshift", cfg, tmp_path / "out") == 2
@@ -214,6 +334,28 @@ class TestReport:
         assert lines[0] == "method,pretrain_set,test_set,metric,value"
         assert any("macro_f1" in ln for ln in lines[1:])
         assert (out / "report_per_class.csv").exists()
+
+    def test_method_and_pretrain_set_come_from_checkpoint(
+        self, data_dir, pretrain_dir, tmp_path
+    ):
+        lin_cfg = write_config(
+            tmp_path / "lin.json",
+            {
+                "dataset": str(data_dir / "cohortB"),
+                "checkpoint": str(pretrain_dir / "checkpoint.ckpt"),
+                "fractions": [0.5, 0.25, 0.25],
+                "finetune": {"epochs": 1, "batch_size": 8},
+            },
+        )
+        runs = tmp_path / "runs"
+        assert run("lineval", lin_cfg, runs / "lin", seed=0) == 0
+        rep_cfg = write_config(tmp_path / "rep.json", {"scan_dir": str(runs)})
+        assert run("report", rep_cfg, tmp_path / "report") == 0
+        rows = (tmp_path / "report" / "report.csv").read_text().strip().splitlines()
+        method, pretrain_set, test_set, _, _ = rows[1].split(",")
+        assert method == "SimCLR"
+        assert pretrain_set == str(data_dir / "cohortA")
+        assert test_set == str(data_dir / "cohortB")
 
     def test_empty_scan_is_data_error(self, tmp_path):
         cfg = write_config(tmp_path / "rep.json", {"scan_dir": str(tmp_path)})

@@ -197,23 +197,3 @@ class TestAnalyzePair:
         with pytest.raises(ValueError):
             ds.analyze_pair(params, cfg, [], self._windows(rng, 10))
 
-
-class TestReductionCsv:
-    def test_roundtrip(self, tmp_path, rng):
-        red = ds.ReducedEmbedding(rng.standard_normal((25, 2)), "PCA", "cohortA")
-        path = tmp_path / "red.csv"
-        ds.write_reduction_csv(path, red)
-        back = ds.read_reduction_csv(path)
-        np.testing.assert_allclose(back.points, red.points, atol=0)
-        assert back.source_tag == "cohortA"
-
-    def test_external_import_flows_into_overlap(self, tmp_path, rng):
-        pts = rng.standard_normal((200, 2))
-        path = tmp_path / "ext.csv"
-        ds.write_reduction_csv(path, ds.ReducedEmbedding(pts, "PCA", "x"))
-        back = ds.read_reduction_csv(path)
-        bounds = ds.shared_grid_bounds(back.points, pts)
-        eta = ds.overlap_index(
-            ds.kde_2d(back.points, 64, bounds), ds.kde_2d(pts, 64, bounds)
-        )
-        assert eta > 0.999
