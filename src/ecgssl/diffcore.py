@@ -2,21 +2,27 @@
 
 Everything runs on float64 numpy arrays. A ``Tensor`` records its parents and
 a backward closure; ``Tensor.backward()`` topologically sorts the tape and
-accumulates gradients. The network here is deliberately tiny: conv blocks
-with ReLU, global average pooling over time, and two-layer MLP heads.
+accumulates gradients. Inside ``no_grad()`` no tape is recorded; ``encode``
+runs the encoder that way, in bounded chunks, for inference. The network here
+is deliberately tiny: conv blocks with ReLU, global average pooling over time,
+and two-layer MLP heads.
 """
 
 from __future__ import annotations
 
 import json
 import struct
+import threading
 from collections import OrderedDict
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "Tensor",
+    "no_grad",
     "concat",
     "conv1d",
     "dense",
@@ -31,6 +37,7 @@ __all__ = [
     "forward_projection",
     "forward_predictor",
     "forward_head",
+    "encode",
     "AdamState",
     "adam_step",
     "ema_update",
@@ -45,6 +52,27 @@ def _as_array(x) -> np.ndarray:
     if not np.all(np.isfinite(a)):
         raise ValueError("non-finite values in tensor data")
     return a
+
+
+class _TapeState(threading.local):
+    recording = True
+
+
+_TAPE = _TapeState()
+
+
+@contextmanager
+def no_grad():
+    """Build no tape inside the block: every Tensor made there has no
+    parents and no backward, so each intermediate is freed as soon as the
+    forward pass stops referring to it. Leaves keep the `requires_grad`
+    they are given. Per thread; nests."""
+    previous = _TAPE.recording
+    _TAPE.recording = False
+    try:
+        yield
+    finally:
+        _TAPE.recording = previous
 
 
 def _topo_visit(t, seen: set, topo: list) -> None:
@@ -82,6 +110,8 @@ class Tensor:
     def __init__(self, data, requires_grad=False, _parents=(), _backward=None):
         self.data = _as_array(data)
         self.grad = None
+        if not _TAPE.recording:
+            _parents, _backward = (), None
         self.requires_grad = bool(requires_grad) or any(
             p.requires_grad for p in _parents
         )
@@ -101,9 +131,6 @@ class Tensor:
 
     def zero_grad(self):
         self.grad = None
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
 
     # ---- graph traversal -------------------------------------------------
 
@@ -266,11 +293,26 @@ def concat(tensors, axis=0) -> Tensor:
     )
 
 
+def _im2col(xp: np.ndarray, k: int, stride: int) -> np.ndarray:
+    """(B, Lp, C_in) padded input -> (B*out_len, k*C_in) columns; row
+    b*out_len + t holds input times t*stride .. t*stride + k-1, each with
+    every channel, one contiguous block per row."""
+    B, _, c_in = xp.shape
+    win = sliding_window_view(xp, k, axis=1)[:, ::stride]  # (B, out_len, C_in, k)
+    return win.transpose(0, 1, 3, 2).reshape(B * win.shape[1], k * c_in)
+
+
 def conv1d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1) -> Tensor:
     """1-D convolution with 'same'-style zero padding of k//2 per side.
 
     x: (B, C_in, L); w: (C_out, C_in, k); b: (C_out,).
     Output length is floor((L + 2*(k//2) - k) / stride) + 1.
+
+    im2col plus one matmul each way, on a time-major copy of the padded
+    input; the output is a (B, C_out, out_len) view of time-major memory,
+    which the next conv copies from without a gather. The backward rebuilds
+    the columns from the padded input rather than keeping them on the tape,
+    which would hold k copies of every conv input for the whole step.
     """
     B, c_in, L = x.data.shape
     c_out, c_in_w, k = w.data.shape
@@ -278,27 +320,24 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1) -> Tensor:
         raise ValueError(f"conv1d channel mismatch: {c_in_w} != {c_in}")
     pad = k // 2
     out_len = (L + 2 * pad - k) // stride + 1
-    xp = np.zeros((B, c_in, L + 2 * pad))
-    xp[:, :, pad : pad + L] = x.data
+    xp = np.zeros((B, L + 2 * pad, c_in))
+    xp[:, pad : pad + L] = x.data.transpose(0, 2, 1)
 
-    out = np.zeros((B, c_out, out_len))
-    for j in range(k):
-        xs = xp[:, :, j : j + stride * out_len : stride]
-        out += np.einsum("bil,oi->bol", xs, w.data[:, :, j])
-    out += b.data[None, :, None]
+    w2 = w.data.transpose(0, 2, 1).reshape(c_out, k * c_in)
+    out = _im2col(xp, k, stride) @ w2.T + b.data
+    out = out.reshape(B, out_len, c_out).transpose(0, 2, 1)
 
     def bwd(g):
+        g2 = g.transpose(0, 2, 1).reshape(B * out_len, c_out)
+        gw = g2.T @ _im2col(xp, k, stride)
+        w._accum(gw.reshape(c_out, k, c_in).transpose(0, 2, 1))
+        b._accum(g2.sum(axis=0))
+        gcols = (g2 @ w2).reshape(B, out_len, k, c_in)
         gxp = np.zeros_like(xp)
-        gw = np.zeros_like(w.data)
+        span = stride * (out_len - 1) + 1
         for j in range(k):
-            xs = xp[:, :, j : j + stride * out_len : stride]
-            gw[:, :, j] = np.einsum("bol,bil->oi", g, xs)
-            gxp[:, :, j : j + stride * out_len : stride] += np.einsum(
-                "bol,oi->bil", g, w.data[:, :, j]
-            )
-        x._accum(gxp[:, :, pad : pad + L])
-        w._accum(gw)
-        b._accum(g.sum(axis=(0, 2)))
+            gxp[:, j : j + span : stride] += gcols[:, :, j]
+        x._accum(gxp[:, pad : pad + L].transpose(0, 2, 1))
 
     return Tensor(out, _parents=(x, w, b), _backward=bwd)
 
@@ -474,6 +513,24 @@ def forward_encoder(params: ModelParams, cfg: EncoderConfig, batch) -> Tensor:
         x = x.relu()
     h = global_avg_pool(x)
     return dense(h, params["embed.weight"], params["embed.bias"])
+
+
+# windows per forward pass in `encode`: bounds inference memory, whatever
+# the cohort size
+ENCODE_CHUNK = 256
+
+
+def encode(params: ModelParams, cfg: EncoderConfig, batch) -> np.ndarray:
+    """`forward_encoder(params, cfg, batch).data`, built without a tape and
+    ENCODE_CHUNK windows at a time."""
+    batch = np.asarray(batch, dtype=np.float64)
+    with no_grad():
+        return np.concatenate(
+            [
+                forward_encoder(params, cfg, batch[i : i + ENCODE_CHUNK]).data
+                for i in range(0, len(batch), ENCODE_CHUNK)
+            ]
+        )
 
 
 def forward_projection(params: ModelParams, h: Tensor) -> Tensor:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .diffcore import EncoderConfig, ModelParams, forward_encoder
+from .diffcore import EncoderConfig, ModelParams, encode
 
 __all__ = [
     "EmbeddingSet",
@@ -104,8 +104,7 @@ def extract_embeddings(
 ) -> EmbeddingSet:
     """Pre-projection encoder outputs, one row per window."""
     batch = np.stack([w.data for w in windows])
-    h = forward_encoder(encoder, cfg, batch)
-    return EmbeddingSet(h.data, source_tag)
+    return EmbeddingSet(encode(encoder, cfg, batch), source_tag)
 
 
 class _PcaReducer:

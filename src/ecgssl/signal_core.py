@@ -2,12 +2,13 @@
 
 Records hold multi-lead signals in millivolts with a sampling rate. All
 operations are pure given their inputs and seed; nothing here keeps shared
-mutable state.
+mutable state (the resampling-kernel cache holds read-only arrays).
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import struct
 from dataclasses import dataclass
 
@@ -149,6 +150,32 @@ def _kaiser(tau, half_width):
     return out
 
 
+@functools.lru_cache(maxsize=8)
+def _resample_kernel(fs_in: float, target_hz: float, n_in: int):
+    """Tap indices and weights, both (n_out, 2*half), of `resample`.
+
+    They depend only on the two rates and the length, so a cohort of
+    equal-length records builds them once. Cached, hence read-only.
+    """
+    n_out = int(round(n_in * target_hz / fs_in))
+    # cutoff as a fraction of the input rate
+    c = min(1.0, target_hz / fs_in)
+    half = int(np.ceil(_SINC_LOBES / c))
+
+    centers = np.arange(n_out) * fs_in / target_hz  # in input-sample units
+    base = np.floor(centers).astype(int) - half + 1
+    taps = np.arange(2 * half)
+    idx = base[:, None] + taps[None, :]  # (n_out, 2*half)
+    tau = idx - centers[:, None]
+    kernel = c * np.sinc(c * tau) * _kaiser(tau, half)
+    valid = (idx >= 0) & (idx < n_in)
+    kernel = kernel * valid
+    idx = np.clip(idx, 0, n_in - 1)
+    idx.flags.writeable = False
+    kernel.flags.writeable = False
+    return idx, kernel
+
+
 def resample(record: EcgRecord, target_hz: float) -> EcgRecord:
     """Band-limited resampling via a Kaiser-windowed sinc kernel.
 
@@ -166,23 +193,9 @@ def resample(record: EcgRecord, target_hz: float) -> EcgRecord:
             record.labels,
         )
 
-    fs_in = record.sampling_rate_hz
-    n_in = record.n_samples
-    n_out = int(round(n_in * target_hz / fs_in))
-    # cutoff as a fraction of the input rate
-    c = min(1.0, target_hz / fs_in)
-    half = int(np.ceil(_SINC_LOBES / c))
-
-    centers = np.arange(n_out) * fs_in / target_hz  # in input-sample units
-    base = np.floor(centers).astype(int) - half + 1
-    taps = np.arange(2 * half)
-    idx = base[:, None] + taps[None, :]  # (n_out, 2*half)
-    tau = idx - centers[:, None]
-    kernel = c * np.sinc(c * tau) * _kaiser(tau, half)
-    valid = (idx >= 0) & (idx < n_in)
-    kernel = kernel * valid
-    idx = np.clip(idx, 0, n_in - 1)
-
+    idx, kernel = _resample_kernel(
+        record.sampling_rate_hz, target_hz, record.n_samples
+    )
     out = np.einsum("cmt,mt->cm", record.leads[:, idx], kernel)
     return EcgRecord(record.subject_id, out, float(target_hz), record.labels)
 

@@ -21,6 +21,7 @@ from .diffcore import (
     forward_predictor,
     forward_projection,
     l2_normalize,
+    no_grad,
 )
 
 __all__ = [
@@ -154,7 +155,7 @@ def byol_symmetric_loss(
 
     view_i / view_j are (B, n_leads, L) arrays. The online path runs
     encoder -> projection -> predictor; the target path runs
-    encoder -> projection and its outputs are detached.
+    encoder -> projection under `no_grad`, so it builds no tape.
     """
 
     def online_path(v):
@@ -163,8 +164,8 @@ def byol_symmetric_loss(
         )
 
     def target_path(v):
-        out = forward_projection(target, forward_encoder(target, cfg, v))
-        return out.data.copy()  # stop-gradient
+        with no_grad():  # stop-gradient
+            return forward_projection(target, forward_encoder(target, cfg, v)).data
 
     return byol_loss(online_path(view_i), target_path(view_j)) + byol_loss(
         online_path(view_j), target_path(view_i)

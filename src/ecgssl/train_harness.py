@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import time
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,14 +20,17 @@ from .diffcore import (
     AdamState,
     EncoderConfig,
     ModelParams,
+    Tensor,
     adam_step,
     bce_with_logits,
     ema_update,
+    encode,
     forward_encoder,
     forward_head,
     forward_projection,
     init_encoder_params,
     init_head_params,
+    no_grad,
 )
 from .metrics import PredictionBatch, macro_f1
 from .ssl_objectives import (
@@ -236,8 +240,6 @@ def pretrain(config: PretrainConfig, split, enc_cfg: EncoderConfig | None = None
 
 
 def _without_prefix(params: ModelParams, prefix: str) -> ModelParams:
-    from collections import OrderedDict
-
     return ModelParams(
         OrderedDict(
             (n, t) for n, t in params.params.items() if not n.startswith(prefix)
@@ -255,9 +257,10 @@ def _pretrain_validation_loss(config, enc_cfg, params, target, bank, X_val, epoc
         if len(idx) < 2 and config.method in ("SimCLR", "SwAV"):
             continue
         v1, v2 = _make_view_batches(X_val, idx, config.augmentation, rng)
-        loss = _pretrain_batch_loss(
-            config.method, enc_cfg, config, params, target, bank, v1, v2
-        )
+        with no_grad():
+            loss = _pretrain_batch_loss(
+                config.method, enc_cfg, config, params, target, bank, v1, v2
+            )
         losses.append(float(loss.data))
     return float(np.mean(losses)) if losses else float("inf")
 
@@ -296,8 +299,8 @@ def finetune(
         # frozen path: embed once and train the head on standardized
         # features (a linear probe is scale-sensitive otherwise); the
         # standardization is folded back into the head before returning
-        H = forward_encoder(params, enc_cfg, X).data
-        H_val = forward_encoder(params, enc_cfg, X_val).data
+        H = encode(params, enc_cfg, X)
+        H_val = encode(params, enc_cfg, X_val)
         mu = H.mean(axis=0)
         sd = np.maximum(H.std(axis=0), 1e-8)
         H = (H - mu) / sd
@@ -307,15 +310,16 @@ def finetune(
 
     def head_logits(x_idx, h_const):
         if config.freeze_encoder:
-            from .diffcore import Tensor
-
             return forward_head(model, Tensor(h_const))
         return forward_head(model, forward_encoder(params, enc_cfg, x_idx))
 
+    def val_logits():
+        h = H_val if config.freeze_encoder else encode(params, enc_cfg, X_val)
+        with no_grad():
+            return forward_head(model, Tensor(h))
+
     def val_f1():
-        logits = head_logits(X_val, H_val if config.freeze_encoder else None)
-        scores = 1.0 / (1.0 + np.exp(-logits.data))
-        model.zero_grads()
+        scores = 1.0 / (1.0 + np.exp(-val_logits().data))
         return macro_f1(PredictionBatch(scores, Y_val))
 
     log = TrainingLog()
@@ -345,9 +349,9 @@ def finetune(
             model.zero_grads()
             losses.append(float(loss.data))
 
-        val_logits = head_logits(X_val, H_val if config.freeze_encoder else None)
-        val_loss = float(bce_with_logits(val_logits, Y_val).data)
-        scores = 1.0 / (1.0 + np.exp(-val_logits.data))
+        logits = val_logits()
+        val_loss = float(bce_with_logits(logits, Y_val).data)
+        scores = 1.0 / (1.0 + np.exp(-logits.data))
         f1 = macro_f1(PredictionBatch(scores, Y_val))
         log.entries.append(
             LogEntry(
@@ -375,7 +379,8 @@ def finetune(
 
 def predict_scores(model: ModelParams, enc_cfg: EncoderConfig, windows):
     X, (Y, classes) = _stack(windows), _labels_matrix(windows)
-    logits = forward_head(model, forward_encoder(model, enc_cfg, X))
+    with no_grad():
+        logits = forward_head(model, Tensor(encode(model, enc_cfg, X)))
     scores = 1.0 / (1.0 + np.exp(-logits.data))
     return PredictionBatch(scores, Y, classes)
 

@@ -142,6 +142,103 @@ class TestFiniteDifferenceOps:
         assert_grads_match(lambda: dc.bce_with_logits(z, y), [z])
 
 
+def _conv1d_per_tap(x, w, b, stride, r):
+    """Forward and the three gradients of sum(conv1d(x, w, b) * r), one
+    kernel tap at a time."""
+    _, _, L = x.shape
+    k = w.shape[2]
+    pad = k // 2
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad)))
+    out_len = (L + 2 * pad - k) // stride + 1
+    out = np.zeros((x.shape[0], w.shape[0], out_len))
+    gxp, gw = np.zeros_like(xp), np.zeros_like(w)
+    for j in range(k):
+        taps = slice(j, j + stride * (out_len - 1) + 1, stride)
+        out += np.einsum("bil,oi->bol", xp[:, :, taps], w[:, :, j])
+        gw[:, :, j] = np.einsum("bol,bil->oi", r, xp[:, :, taps])
+        gxp[:, :, taps] += np.einsum("bol,oi->bil", r, w[:, :, j])
+    out += b[None, :, None]
+    return out, gxp[:, :, pad : pad + L], gw, r.sum(axis=(0, 2))
+
+
+class TestConv1dAgainstPerTapLoop:
+    @pytest.mark.parametrize("L", [17, 16, 2])  # odd, even, shorter than k
+    @pytest.mark.parametrize("c_in", [1, 3])
+    @pytest.mark.parametrize("k", [1, 3, 5, 7])
+    @pytest.mark.parametrize("stride", [1, 2, 3])
+    def test_forward_and_gradients(self, rng, stride, k, c_in, L):
+        x = t(rng.standard_normal((2, c_in, L)))
+        w = t(rng.standard_normal((4, c_in, k)))
+        b = t(rng.standard_normal(4))
+        out = dc.conv1d(x, w, b, stride)
+        r = rng.standard_normal(out.shape)
+        (out * r).sum().backward()
+        want = _conv1d_per_tap(x.data, w.data, b.data, stride, r)
+        for got, ref in zip((out.data, x.grad, w.grad, b.grad), want):
+            assert got.shape == ref.shape
+            assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+class TestNoGrad:
+    def test_results_record_no_tape(self, rng):
+        w = t(rng.standard_normal((3, 2, 3)))
+        b = t(rng.standard_normal(3))
+        x = rng.standard_normal((2, 2, 9))
+        with dc.no_grad():
+            out = (dc.conv1d(dc.Tensor(x), w, b, 2).relu() * w.data.sum()).sum()
+            leaf = t([1.0])
+        assert out._parents == () and out._backward is None
+        assert out.requires_grad is False
+        assert leaf.requires_grad is True  # leaves keep what they are given
+        out.backward()
+        assert w.grad is None and b.grad is None
+
+    def test_recording_resumes_after_block_and_exception(self):
+        w = t([1.0, 2.0])
+        with pytest.raises(RuntimeError):
+            with dc.no_grad():
+                with dc.no_grad():
+                    pass
+                assert (w * w)._parents == ()  # the inner exit kept it off
+                raise RuntimeError
+        y = w * w
+        assert y._parents == (w, w) and y.requires_grad is True
+        y.sum().backward()
+        np.testing.assert_allclose(w.grad, [2.0, 4.0])
+
+
+class TestEncode:
+    @pytest.mark.parametrize("n", [1, 255, 256, 257, 600])
+    def test_equals_forward_encoder(self, rng, n):
+        cfg = dc.EncoderConfig(n_leads=2, conv_blocks=((4, 5, 2), (6, 3, 2)))
+        params = dc.init_encoder_params(cfg, seed=4)
+        x = rng.standard_normal((n, 2, 40))
+        got = dc.encode(params, cfg, x)
+        want = dc.forward_encoder(params, cfg, x).data
+        assert isinstance(got, np.ndarray) and got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+    def test_memory_bounded_by_chunk(self, rng):
+        cfg = dc.EncoderConfig()
+        params = dc.init_encoder_params(cfg, seed=0)
+
+        def peak(n, fn=dc.encode):
+            x = rng.standard_normal((n, 1, 250))
+            tracemalloc.start()
+            try:
+                fn(params, cfg, x)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one_chunk = peak(dc.ENCODE_CHUNK)
+        # no tape: a taped forward of the same chunk keeps every activation
+        assert one_chunk < 0.8 * peak(dc.ENCODE_CHUNK, dc.forward_encoder)
+        # five chunks hold the activations of one at a time (unchunked, the
+        # peak would be about five times as high)
+        assert peak(5 * dc.ENCODE_CHUNK) < 1.25 * one_chunk
+
+
 class TestL2Normalize:
     def test_three_four_five(self):
         out = dc.l2_normalize(t([[3.0, 4.0]]), axis=1)

@@ -62,6 +62,20 @@ class TestResample:
         with pytest.raises(ValueError):
             sc.resample(rec, -5.0)
 
+    def test_kernel_cached_read_only(self):
+        idx, kernel = sc._resample_kernel(500.0, 100.0, 5000)
+        assert not idx.flags.writeable and not kernel.flags.writeable
+        with pytest.raises(ValueError):
+            kernel[0, 0] = 1.0
+
+    def test_cached_equals_uncached(self):
+        rec = make_record(np.random.default_rng(3).standard_normal((12, 5000)), 500.0)
+        sc._resample_kernel.cache_clear()
+        uncached = sc.resample(rec, 100.0)
+        cached = sc.resample(rec, 100.0)
+        assert sc._resample_kernel.cache_info().hits == 1
+        assert np.array_equal(uncached.leads, cached.leads)
+
 
 class TestWindow:
     def test_1000_samples_gives_4_windows(self):
