@@ -6,7 +6,6 @@ deterministic given the input, the parameters, and the RngStream seed.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -246,14 +245,6 @@ class AugmentationSpec:
             raise ValueError(f"missing parameter {e} for {self.kind}") from None
         if not ok:
             raise ValueError(f"invalid parameters for {self.kind}: {self.params}")
-
-    def to_json(self) -> str:
-        return json.dumps({"kind": self.kind, "params": self.params})
-
-    @staticmethod
-    def from_json(text: str) -> "AugmentationSpec":
-        obj = json.loads(text)
-        return AugmentationSpec(obj["kind"], obj.get("params", {}))
 
 
 def apply_augmentation(x, spec: AugmentationSpec, rng: RngStream):

@@ -43,7 +43,6 @@ __all__ = [
     "ema_update",
     "save_checkpoint",
     "load_checkpoint",
-    "DEFAULT_ENCODER",
 ]
 
 
@@ -125,10 +124,6 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
-    def _ensure_grad(self):
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-
     def zero_grad(self):
         self.grad = None
 
@@ -139,7 +134,6 @@ class Tensor:
             raise ValueError("backward() requires a scalar loss")
         topo = []
         _topo_visit(self, set(), topo)
-        self._ensure_grad()
         self.grad = np.ones_like(self.data)
         for t in reversed(topo):
             if t._backward is not None:
@@ -200,8 +194,14 @@ class Tensor:
         return Tensor._lift(other) / self
 
     def _accum(self, g):
-        if self.requires_grad or self._parents:
-            self._ensure_grad()
+        if not (self.requires_grad or self._parents):
+            return
+        if self.grad is None:
+            # a copy (`+` hands the same g to both parents), laid out like
+            # data: the BLAS products of the backward depend on the layout
+            self.grad = np.empty_like(self.data)
+            self.grad[...] = g
+        else:
             self.grad += g
 
     # ---- shape ops -------------------------------------------------------
@@ -351,11 +351,8 @@ def dense(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return x.matmul(w) + b
 
 
-def l2_normalize(x: Tensor, axis: int = -1, return_flag: bool = False):
-    """Normalize slices along `axis` to unit L2 norm; zero slices stay zero.
-
-    With return_flag=True also returns whether any zero-norm slice occurred.
-    """
+def l2_normalize(x: Tensor, axis: int = -1) -> Tensor:
+    """Normalize slices along `axis` to unit L2 norm; zero slices stay zero."""
     x = Tensor._lift(x)
     norm = np.sqrt(np.sum(x.data**2, axis=axis, keepdims=True))
     zero = norm == 0.0
@@ -367,10 +364,7 @@ def l2_normalize(x: Tensor, axis: int = -1, return_flag: bool = False):
         gx = (g - out_data * dot) / safe
         x._accum(np.where(zero, 0.0, gx))
 
-    out = Tensor(out_data, _parents=(x,), _backward=bwd)
-    if return_flag:
-        return out, bool(zero.any())
-    return out
+    return Tensor(out_data, _parents=(x,), _backward=bwd)
 
 
 def bce_with_logits(logits: Tensor, targets: np.ndarray) -> Tensor:
@@ -407,9 +401,6 @@ class EncoderConfig:
         for _, k, _ in self.conv_blocks:
             if k % 2 != 1:
                 raise ValueError("kernel sizes must be odd")
-
-
-DEFAULT_ENCODER = EncoderConfig()
 
 
 class ModelParams:

@@ -9,7 +9,7 @@ is PCA fitted on a reference set.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,9 +46,7 @@ class EmbeddingSet:
 @dataclass
 class ReducedEmbedding:
     points: np.ndarray
-    reducer: str = "PCA"
     source_tag: str = ""
-    fit_params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.points = np.asarray(self.points, dtype=np.float64)
@@ -128,15 +126,10 @@ def fit_reduce(reference: EmbeddingSet, others=()) -> list:
     if reference.points.shape[0] < 3:
         raise ValueError("need at least 3 reference points")
     reducer = _PcaReducer(reference.points)
-    fit = {"mean": reducer.mean, "components": reducer.components}
-    out = [
-        ReducedEmbedding(
-            reducer.transform(reference.points), "PCA", reference.source_tag, fit
-        )
+    return [
+        ReducedEmbedding(reducer.transform(e.points), e.source_tag)
+        for e in (reference, *others)
     ]
-    for e in others:
-        out.append(ReducedEmbedding(reducer.transform(e.points), "PCA", e.source_tag, fit))
-    return out
 
 
 def _scott_bandwidth(points: np.ndarray) -> np.ndarray:

@@ -1,5 +1,5 @@
-"""Pre-training loops for the three SSL methods, supervised fine-tuning with
-binary cross-entropy, and linear evaluation.
+"""Pre-training with the three SSL methods, supervised fine-tuning with
+binary cross-entropy, and linear evaluation, all through one epoch loop.
 
 Everything is deterministic for a fixed (config, data, seed): batch order,
 augmentation draws, and validation augmentations all derive from seeded
@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import time
-from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,9 +50,6 @@ __all__ = [
     "predict_scores",
 ]
 
-METHODS = ("SimCLR", "BYOL", "SwAV")
-
-
 @dataclass
 class PretrainConfig:
     method: str = "SimCLR"
@@ -77,8 +73,9 @@ class PretrainConfig:
             raise ValueError(f"unknown method {self.method!r}")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
-        if self.method in ("SimCLR", "SwAV") and self.batch_size < 2:
-            raise ValueError(f"{self.method} needs batch_size >= 2")
+        min_batch = _SSL[self.method][1]
+        if self.batch_size < min_batch:
+            raise ValueError(f"{self.method} needs batch_size >= {min_batch}")
 
 
 @dataclass
@@ -139,130 +136,153 @@ def _child_seed(*parts) -> int:
     return int(np.random.SeedSequence(list(parts)).generate_state(1)[0])
 
 
+def _batches(order, size, min_size=1):
+    """Consecutive `size`-slices of `order`; a last one shorter than
+    `min_size` is dropped."""
+    for start in range(0, len(order), size):
+        if len(order) - start >= min_size:
+            yield order[start : start + size]
+
+
 def _make_view_batches(X, idx, spec, rng: RngStream):
     v1 = np.stack([apply_augmentation(X[i], spec, rng) for i in idx])
     v2 = np.stack([apply_augmentation(X[i], spec, rng) for i in idx])
     return v1, v2
 
 
-def _pretrain_batch_loss(method, cfg, config, params, target, bank, v1, v2):
-    if method == "SimCLR":
-        z1 = forward_projection(params, forward_encoder(params, cfg, v1))
-        z2 = forward_projection(params, forward_encoder(params, cfg, v2))
+# ---------------------------------------------------------------------------
+# the SSL methods: each set-up takes (config, enc_cfg, params) and returns
+# (batch loss of two view batches, trainable params, hook run after each
+# Adam step). The hooks and losses name the module's functions, which are
+# looked up when called: a wrapper set on the module attribute sees each call.
+
+# every pretraining parameter but the BYOL predictor (pred.*)
+_ONLINE = ("conv", "embed.", "proj.")
+
+
+def _project(params, enc_cfg, v):
+    return forward_projection(params, forward_encoder(params, enc_cfg, v))
+
+
+def _simclr(config, enc_cfg, params):
+    def batch_loss(v1, v2):
+        z1, z2 = _project(params, enc_cfg, v1), _project(params, enc_cfg, v2)
         return nt_xent_loss(ViewBatchEmbeddings(z1, z2, config.temperature))
-    if method == "BYOL":
-        return byol_symmetric_loss(v1, v2, params, target, cfg)
-    z1 = forward_projection(params, forward_encoder(params, cfg, v1))
-    z2 = forward_projection(params, forward_encoder(params, cfg, v2))
-    return swav_loss(
-        z1,
-        z2,
-        bank,
-        config.swav_temperature,
-        config.sinkhorn_epsilon,
-        config.sinkhorn_iters,
-    )
+
+    return batch_loss, params.subset(_ONLINE), lambda: None
+
+
+def _byol(config, enc_cfg, params):
+    target = params.copy()
+
+    def batch_loss(v1, v2):
+        return byol_symmetric_loss(v1, v2, params, target, enc_cfg)
+
+    return batch_loss, params, lambda: ema_update(target, params, config.ema_decay)
+
+
+def _swav(config, enc_cfg, params):
+    bank = PrototypeBank(config.n_prototypes, enc_cfg.projection_dim, config.seed + 1)
+
+    def batch_loss(v1, v2):
+        z1, z2 = _project(params, enc_cfg, v1), _project(params, enc_cfg, v2)
+        return swav_loss(
+            z1,
+            z2,
+            bank,
+            config.swav_temperature,
+            config.sinkhorn_epsilon,
+            config.sinkhorn_iters,
+        )
+
+    trainable = params.subset(_ONLINE).merged_with(ModelParams({"prototypes": bank.C}))
+    return batch_loss, trainable, bank.renormalize
+
+
+# method -> (set-up, smallest batch its loss is defined on)
+_SSL = {"SimCLR": (_simclr, 2), "BYOL": (_byol, 1), "SwAV": (_swav, 2)}
+METHODS = tuple(_SSL)
+
+
+def _fit(config, stream, n, batch_losses, model, trainable, validate):
+    """The epoch loop of `pretrain` and `finetune`.
+
+    Epoch e visits the n training indices in an order drawn from child-seed
+    stream `stream`; `batch_losses(e, order)` yields one loss per batch,
+    and each gets one Adam step over `trainable`. `validate(e)` returns
+    (val_loss, val_macro_f1 or None, score). Returns (a copy of `model` at
+    the epoch of highest score, the earliest on ties; that score; log).
+    """
+    adam = AdamState(lr=config.lr, weight_decay=config.weight_decay)
+    log = TrainingLog()
+    best, best_score = None, -np.inf
+    for epoch in range(config.epochs):
+        t0 = time.perf_counter()
+        order = np.random.default_rng(
+            _child_seed(config.seed, epoch, stream)
+        ).permutation(n)
+        losses = []
+        for loss in batch_losses(epoch, order):
+            loss.backward()
+            adam_step(adam, trainable)
+            model.zero_grads()
+            losses.append(float(loss.data))
+        val_loss, val_f1, score = validate(epoch)
+        log.entries.append(
+            LogEntry(
+                epoch,
+                float(np.mean(losses)),
+                val_loss,
+                val_f1,
+                wall_seconds=time.perf_counter() - t0,
+            )
+        )
+        if score > best_score:
+            best, best_score = model.copy(), score
+    return best, best_score, log
 
 
 def pretrain(config: PretrainConfig, split, enc_cfg: EncoderConfig | None = None):
     """Train one SSL method and return (best params by validation loss, log)."""
     if not split.train:
         raise ValueError("empty training split")
-    X = _stack(split.train)
-    X_val = _stack(split.validation) if split.validation else None
+    set_up, min_batch = _SSL[config.method]
+    if len(split.validation) < min_batch:
+        raise ValueError(
+            f"{config.method} needs at least {min_batch} validation window(s), "
+            f"got {len(split.validation)}: model selection undefined"
+        )
+    X, X_val = _stack(split.train), _stack(split.validation)
     if config.batch_size > len(X):
         raise ValueError("batch_size exceeds training set size")
     if enc_cfg is None:
         enc_cfg = EncoderConfig(n_leads=X.shape[1])
 
     params = init_encoder_params(enc_cfg, config.seed)
-    target = params.copy() if config.method == "BYOL" else None
-    bank = (
-        PrototypeBank(config.n_prototypes, enc_cfg.projection_dim, config.seed + 1)
-        if config.method == "SwAV"
-        else None
-    )
+    batch_loss, trainable, after_step = set_up(config, enc_cfg, params)
 
-    if config.method == "SimCLR":
-        trainable = _without_prefix(params, "pred.")
-    elif config.method == "BYOL":
-        trainable = params
-    else:
-        trainable = _without_prefix(params, "pred.").merged_with(
-            ModelParams({"prototypes": bank.C})
-        )
+    def view_losses(data, order, rng):
+        for idx in _batches(order, config.batch_size, min_batch):
+            yield batch_loss(*_make_view_batches(data, idx, config.augmentation, rng))
 
-    adam = AdamState(lr=config.lr, weight_decay=config.weight_decay)
-    log = TrainingLog()
-    best = None
-    best_val = np.inf
-
-    for epoch in range(config.epochs):
-        t0 = time.perf_counter()
-        order = np.random.default_rng(_child_seed(config.seed, epoch, 1)).permutation(
-            len(X)
-        )
+    def train_losses(epoch, order):
         rng = RngStream(_child_seed(config.seed, epoch, 2))
-        losses = []
-        for start in range(0, len(order), config.batch_size):
-            idx = order[start : start + config.batch_size]
-            if len(idx) < 2 and config.method in ("SimCLR", "SwAV"):
-                continue
-            v1, v2 = _make_view_batches(X, idx, config.augmentation, rng)
-            loss = _pretrain_batch_loss(
-                config.method, enc_cfg, config, params, target, bank, v1, v2
-            )
-            loss.backward()
-            adam_step(adam, trainable)
-            params.zero_grads()
-            if config.method == "BYOL":
-                ema_update(target, params, config.ema_decay)
-            elif config.method == "SwAV":
-                bank.renormalize()
-            losses.append(float(loss.data))
+        for loss in view_losses(X, order, rng):
+            yield loss
+            after_step()  # resumed after the loop's Adam step
 
-        val_loss = _pretrain_validation_loss(
-            config, enc_cfg, params, target, bank, X_val, epoch
-        )
-        log.entries.append(
-            LogEntry(
-                epoch,
-                float(np.mean(losses)),
-                val_loss,
-                wall_seconds=time.perf_counter() - t0,
-            )
-        )
-        if val_loss < best_val:
-            best_val = val_loss
-            best = params.copy()
-
-    return best, log
-
-
-def _without_prefix(params: ModelParams, prefix: str) -> ModelParams:
-    return ModelParams(
-        OrderedDict(
-            (n, t) for n, t in params.params.items() if not n.startswith(prefix)
-        )
-    )
-
-
-def _pretrain_validation_loss(config, enc_cfg, params, target, bank, X_val, epoch):
-    if X_val is None or len(X_val) == 0:
-        return float("inf")
-    rng = RngStream(_child_seed(config.seed, epoch, 3))
-    losses = []
-    for start in range(0, len(X_val), config.batch_size):
-        idx = np.arange(start, min(start + config.batch_size, len(X_val)))
-        if len(idx) < 2 and config.method in ("SimCLR", "SwAV"):
-            continue
-        v1, v2 = _make_view_batches(X_val, idx, config.augmentation, rng)
+    def validate(epoch):
+        rng = RngStream(_child_seed(config.seed, epoch, 3))
         with no_grad():
-            loss = _pretrain_batch_loss(
-                config.method, enc_cfg, config, params, target, bank, v1, v2
-            )
-        losses.append(float(loss.data))
-    return float(np.mean(losses)) if losses else float("inf")
+            losses = [
+                float(loss.data)
+                for loss in view_losses(X_val, np.arange(len(X_val)), rng)
+            ]
+        val_loss = float(np.mean(losses))
+        return val_loss, None, -val_loss
+
+    best, _, log = _fit(config, 1, len(X), train_losses, params, trainable, validate)
+    return best, log
 
 
 def finetune(
@@ -292,81 +312,43 @@ def finetune(
     else:
         head = init_head_params(enc_cfg, Y.shape[1], config.seed + 101)
     model = params.merged_with(head)
-    trainable = head if config.freeze_encoder else model
-    adam = AdamState(lr=config.lr, weight_decay=config.weight_decay)
 
     if config.freeze_encoder:
         # frozen path: embed once and train the head on standardized
         # features (a linear probe is scale-sensitive otherwise); the
         # standardization is folded back into the head before returning
         H = encode(params, enc_cfg, X)
-        H_val = encode(params, enc_cfg, X_val)
         mu = H.mean(axis=0)
         sd = np.maximum(H.std(axis=0), 1e-8)
         H = (H - mu) / sd
-        H_val = (H_val - mu) / sd
-    else:
-        mu = sd = None
+        H_val = (encode(params, enc_cfg, X_val) - mu) / sd
 
-    def head_logits(x_idx, h_const):
-        if config.freeze_encoder:
-            return forward_head(model, Tensor(h_const))
-        return forward_head(model, forward_encoder(params, enc_cfg, x_idx))
+    def train_losses(epoch, order):
+        for idx in _batches(order, config.batch_size):
+            if config.freeze_encoder:
+                h = Tensor(H[idx])
+            else:
+                h = forward_encoder(params, enc_cfg, X[idx])
+            yield bce_with_logits(forward_head(model, h), Y[idx])
 
-    def val_logits():
+    def validate(epoch):
         h = H_val if config.freeze_encoder else encode(params, enc_cfg, X_val)
         with no_grad():
-            return forward_head(model, Tensor(h))
+            logits = forward_head(model, Tensor(h))
+            val_loss = float(bce_with_logits(logits, Y_val).data)
+        f1 = macro_f1(PredictionBatch(1.0 / (1.0 + np.exp(-logits.data)), Y_val))
+        return val_loss, f1, f1
 
-    def val_f1():
-        scores = 1.0 / (1.0 + np.exp(-val_logits().data))
-        return macro_f1(PredictionBatch(scores, Y_val))
-
-    log = TrainingLog()
-    # a warm-started run enters its own initialization in the selection
-    # (ties go to trained epochs), so it cannot regress below the warm
-    # start on the validation metric; fresh heads select over epochs only
+    # a warm start enters the selection only if strictly better than every
+    # trained epoch, so a warm-started run cannot regress below it on the
+    # validation metric
     if init_head is not None:
-        init_model = model.copy()
-        init_f1 = val_f1()
-    else:
-        init_model, init_f1 = None, -1.0
-    best = None
-    best_f1 = -1.0
-    batch = config.batch_size
-    for epoch in range(config.epochs):
-        t0 = time.perf_counter()
-        order = np.random.default_rng(
-            _child_seed(config.seed, epoch, 4)
-        ).permutation(len(X))
-        losses = []
-        for start in range(0, len(order), batch):
-            idx = order[start : start + batch]
-            logits = head_logits(X[idx], H[idx] if config.freeze_encoder else None)
-            loss = bce_with_logits(logits, Y[idx])
-            loss.backward()
-            adam_step(adam, trainable)
-            model.zero_grads()
-            losses.append(float(loss.data))
-
-        logits = val_logits()
-        val_loss = float(bce_with_logits(logits, Y_val).data)
-        scores = 1.0 / (1.0 + np.exp(-logits.data))
-        f1 = macro_f1(PredictionBatch(scores, Y_val))
-        log.entries.append(
-            LogEntry(
-                epoch,
-                float(np.mean(losses)),
-                val_loss,
-                f1,
-                wall_seconds=time.perf_counter() - t0,
-            )
-        )
-        if f1 > best_f1:
-            best_f1 = f1
-            best = model.copy()
-
-    if init_f1 > best_f1:
+        init_model, init_f1 = model.copy(), validate(None)[1]
+    trainable = head if config.freeze_encoder else model
+    best, best_f1, log = _fit(
+        config, 4, len(X), train_losses, model, trainable, validate
+    )
+    if init_head is not None and init_f1 > best_f1:
         best = init_model
     if config.freeze_encoder:
         # fold (h - mu) / sd into the head: the returned model then applies

@@ -156,6 +156,22 @@ class TestPretrain:
         )
         assert run("pretrain", cfg, tmp_path / "out") == 3
 
+    def test_no_validation_windows_is_runtime_error(self, data_dir, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path / "pre.json",
+            {
+                "dataset": str(data_dir / "cohortA"),
+                "encoder": SMALL_ENCODER,
+                "fractions": [1.0, 0.0, 0.0],
+                "pretrain": {"epochs": 1, "batch_size": 8},
+            },
+        )
+        assert run("pretrain", cfg, tmp_path / "out") == 4
+        err = capsys.readouterr().err
+        assert "model selection undefined" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out" / "checkpoint.ckpt").exists()
+
 
 class TestLineval:
     def test_smoke_and_metrics(self, data_dir, pretrain_dir, tmp_path):

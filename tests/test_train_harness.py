@@ -95,14 +95,15 @@ class TestPretrain:
         b, _ = th.pretrain(c2, split, cfg)
         assert any(np.any(a[n].data != b[n].data) for n in a.names())
 
-    def test_best_checkpoint_is_min_val_loss(self):
+    @pytest.mark.parametrize("method", th.METHODS)
+    def test_best_checkpoint_is_min_val_loss(self, method):
         cfg = tiny_cfg()
         split = make_split(np.random.default_rng(3))
-        config = quick_pretrain_cfg("SimCLR", epochs=4)
+        config = quick_pretrain_cfg(method, epochs=4)
         params, log = th.pretrain(config, split, cfg)
         vals = [e.val_loss for e in log.entries]
         # re-running with epochs up to the argmin must yield the same params
-        config2 = quick_pretrain_cfg("SimCLR", epochs=int(np.argmin(vals)) + 1)
+        config2 = quick_pretrain_cfg(method, epochs=int(np.argmin(vals)) + 1)
         params2, _ = th.pretrain(config2, split, cfg)
         for n in params.names():
             np.testing.assert_array_equal(params[n].data, params2[n].data)
@@ -110,6 +111,14 @@ class TestPretrain:
     def test_empty_train_rejected(self):
         split = DatasetSplit([], [], [])
         with pytest.raises(ValueError):
+            th.pretrain(quick_pretrain_cfg("SimCLR"), split, tiny_cfg())
+
+    @pytest.mark.parametrize("n_val", [0, 1])
+    def test_validation_below_min_batch_rejected(self, n_val):
+        # SimCLR needs two windows per batch: with fewer validation windows
+        # there is no validation loss to select an epoch by
+        split = make_split(np.random.default_rng(4), n_val=n_val)
+        with pytest.raises(ValueError, match="model selection undefined"):
             th.pretrain(quick_pretrain_cfg("SimCLR"), split, tiny_cfg())
 
     def test_batch_larger_than_data_rejected(self):
@@ -159,17 +168,45 @@ class TestFinetune:
             np.any(model[n].data != pretrained[n].data) for n in pretrained.names()
         )
 
-    def test_best_checkpoint_is_max_val_f1(self):
+    @pytest.mark.parametrize("freeze", [False, True])
+    def test_best_checkpoint_is_max_val_f1(self, freeze):
         cfg = tiny_cfg()
         split = make_split(np.random.default_rng(8))
         pretrained = dc.init_encoder_params(cfg, seed=0)
-        config = th.FinetuneConfig(epochs=5, batch_size=8)
+        config = th.FinetuneConfig(epochs=5, batch_size=8, freeze_encoder=freeze)
         model, log = th.finetune(pretrained, config, split, cfg)
         f1s = [e.val_macro_f1 for e in log.entries]
-        config2 = th.FinetuneConfig(epochs=int(np.argmax(f1s)) + 1, batch_size=8)
+        config2 = th.FinetuneConfig(
+            epochs=int(np.argmax(f1s)) + 1, batch_size=8, freeze_encoder=freeze
+        )
         model2, _ = th.finetune(pretrained, config2, split, cfg)
         for n in model.names():
             np.testing.assert_array_equal(model[n].data, model2[n].data)
+
+    # the destroyed logits overflow exp() in the sigmoid, which saturates
+    @pytest.mark.filterwarnings("ignore:overflow encountered in exp")
+    def test_warm_start_kept_when_training_only_degrades(self):
+        cfg = tiny_cfg()
+        split = make_split(np.random.default_rng(5), n_train=40)
+        pretrained = dc.init_encoder_params(cfg, seed=0)
+        probe, probe_log = th.finetune(
+            pretrained,
+            th.FinetuneConfig(epochs=30, batch_size=8, freeze_encoder=True),
+            split,
+            cfg,
+        )
+        # lr=10 wrecks every trained epoch, so selection falls back to the
+        # warm start: the probe's head on the untouched encoder
+        model, log = th.finetune(
+            pretrained, th.FinetuneConfig(lr=10.0, epochs=3, batch_size=8), split, cfg,
+            init_head=probe,
+        )
+        assert max(e.val_macro_f1 for e in log.entries) < max(
+            e.val_macro_f1 for e in probe_log.entries
+        )
+        assert model.names() == probe.names()
+        for n in probe.names():
+            np.testing.assert_array_equal(model[n].data, probe[n].data)
 
     def test_no_validation_rejected(self):
         cfg = tiny_cfg()
