@@ -6,7 +6,7 @@ deterministic given the input, the parameters, and the RngStream seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -234,7 +234,7 @@ class AugmentationSpec:
     """A tagged augmentation with its parameters; validates on construction."""
 
     kind: str
-    params: dict
+    params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.kind not in _RECIPES:

@@ -3,7 +3,13 @@
 Subcommands: synth-gen, augment-preview, pretrain, finetune, lineval,
 distshift, report. Structured settings live in a JSON config file; flags
 carry only paths, the seed, and the command. Every output directory gets a
-manifest.json with the seed and a hash of the config that produced it.
+manifest.json with the seed, a hash of the config that produced it, and the
+run's status, written when the command has finished or failed.
+
+The config's schema is the dataclasses: `_Config` for the top level, and
+`PretrainConfig`, `FinetuneConfig`, `EncoderConfig`, `AugmentationSpec` and
+`_Cohort` plus `SyntheticEcgConfig` for the nested objects. `_read` builds
+each of them from JSON and turns every bad key or value into a config error.
 
 pretrain writes its run spec (method, dataset, preprocessing, encoder) into
 the checkpoint. lineval, finetune and distshift read windows and build the
@@ -15,16 +21,21 @@ Exit codes: 0 success, 2 config error, 3 data error, 4 runtime/numeric error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import difflib
+import functools
 import hashlib
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
 from . import augment, distshift, metrics, signal_core, train_harness
+from .augment import AugmentationSpec
 from .diffcore import EncoderConfig, load_checkpoint, save_checkpoint
 
 EXIT_OK = 0
@@ -41,9 +52,119 @@ class DataError(Exception):
     pass
 
 
-_DEFAULT_FRACTIONS = (0.8, 0.1, 0.1)
-# run-spec keys that lineval, finetune and distshift take from the checkpoint
-_INHERITED = ("method", "target_hz", "window_len", "standardize_windows", "encoder")
+# ---------------------------------------------------------------------------
+# the config schema and its reader
+
+
+@dataclass
+class _Config:
+    """Every top-level config key; each command reads the ones it uses."""
+
+    seed: int = 0
+    # synth-gen: cohort name -> _Cohort and SyntheticEcgConfig fields
+    datasets: dict = field(default_factory=dict)
+    # augment-preview
+    record: str = ""
+    # pretrain, and the run spec that lineval, finetune and distshift inherit
+    dataset: str = ""
+    method: str = train_harness.PretrainConfig.method
+    augmentation: AugmentationSpec = field(
+        default_factory=lambda: train_harness.PretrainConfig().augmentation
+    )
+    target_hz: float = 100.0
+    window_len: int = 250
+    standardize_windows: bool = False
+    # (train, validation, test) shares of the subjects
+    fractions: tuple[float, float, float] = (0.8, 0.1, 0.1)
+    encoder: dict = field(default_factory=dict)
+    pretrain: dict = field(default_factory=dict)
+    # lineval, finetune, distshift
+    checkpoint: str = ""
+    finetune: dict = field(default_factory=dict)
+    dataset_ref: str = ""
+    dataset_other: str = ""
+    resolution: int = distshift.DEFAULT_RESOLUTION
+    # report; the output directory when empty
+    scan_dir: str = ""
+    # the config as read, for its hash and for which keys it sets
+    raw: dict = field(default_factory=dict, init=False, repr=False)
+
+
+@dataclass
+class _Cohort:
+    """The synth-gen cohort keys that are not SyntheticEcgConfig fields."""
+
+    classes: tuple[str, ...] = signal_core.SYNTH_CLASSES
+    n_subjects_per_class: int = 5
+
+
+# resolved field annotations of a dataclass
+_hints = functools.cache(get_type_hints)
+
+# JSON type of each scalar annotation, and the types json.load gives for it
+_TYPES = {
+    int: ("an integer", (int,)),
+    float: ("a number", (int, float)),
+    bool: ("true or false", (bool,)),
+    str: ("a string", (str,)),
+    dict: ("an object", (dict,)),
+}
+
+
+def _value(value, hint, name: str):
+    """`value` checked against the field annotation `hint` and stored as the
+    field holds it: lists as tuples, integers as floats where floats are due."""
+    if is_dataclass(hint):
+        return _read(hint, value, name)
+    if get_origin(hint) is tuple:
+        items = get_args(hint)
+        if type(value) is not list:
+            raise ConfigError(f"{name} must be a list, got {value!r}")
+        if items[-1] is ...:
+            items = items[:1] * len(value)
+        elif len(value) != len(items):
+            raise ConfigError(f"{name} must have {len(items)} items, got {value!r}")
+        return tuple(_value(v, t, f"{name}[{i}]") for i, (v, t) in enumerate(zip(value, items)))
+    kind, types = _TYPES[hint]
+    if type(value) not in types:
+        raise ConfigError(f"{name} must be {kind}, got {value!r}")
+    try:
+        return float(value) if hint is float else value
+    except OverflowError:
+        raise ConfigError(f"{name} is out of range, got {value!r}") from None
+
+
+def _read(cls, obj, where: str, skip=(), **fixed):
+    """The `cls` that the JSON object `obj` (named `where`, "" at the top)
+    describes. Keys in `skip` are another reader's; `fixed` fields are the
+    caller's to set."""
+    at = where or "config"
+    if type(obj) is not dict:
+        raise ConfigError(f"{at} must be an object, got {obj!r}")
+    settable = [f.name for f in fields(cls) if f.init and f.name not in fixed]
+    kwargs = dict(fixed)
+    for key, value in obj.items():
+        name = f"{where}.{key}" if where else key
+        if key in fixed:
+            raise ConfigError(f"{name} cannot be set here; the command sets it")
+        if key in skip:
+            continue
+        if key not in settable:
+            near = difflib.get_close_matches(key, [*settable, *skip], n=1)
+            raise ConfigError(
+                f"unknown key {key!r} in {at}" + (f"; did you mean {near[0]!r}?" if near else "")
+            )
+        kwargs[key] = _value(value, _hints(cls)[key], name)
+    try:
+        return cls(**kwargs)
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"{at}: {e}") from None
+
+
+def _need(c: _Config, keys):
+    missing = [k for k in keys if not getattr(c, k)]
+    if missing:
+        raise ConfigError("config needs " + ", ".join(map(repr, missing)))
 
 
 def _load_config(path) -> dict:
@@ -52,34 +173,36 @@ def _load_config(path) -> dict:
             return json.load(f)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # bad JSON, bad UTF-8, an integer too long to parse
         raise ConfigError(f"malformed config JSON: {e}") from None
 
 
-def _config_hash(config: dict) -> str:
+def _config_hash(config) -> str:
     return hashlib.sha256(
         json.dumps(config, sort_keys=True).encode("utf-8")
     ).hexdigest()[:16]
 
 
-def _write_manifest(out_dir: Path, command: str, config: dict, seed: int):
-    out_dir.mkdir(parents=True, exist_ok=True)
+def _write_manifest(out_dir: Path, command: str, config, seed, code: int, error):
+    manifest = dict(command=command, seed=seed, config_hash=_config_hash(config), config=config)
+    if code == EXIT_OK:
+        manifest.update(status="ok")
+    else:
+        manifest.update(status="failed", exit_code=code, error=error)
     with open(out_dir / "manifest.json", "w") as f:
-        json.dump(
-            {
-                "command": command,
-                "seed": seed,
-                "config_hash": _config_hash(config),
-                "config": config,
-            },
-            f,
-            indent=2,
-            sort_keys=True,
-        )
+        json.dump(manifest, f, indent=2, sort_keys=True)
 
 
 # ---------------------------------------------------------------------------
 # dataset directories: records/*.esig plus labels.csv sidecar
+
+
+def _read_binary(reader, path, **kwargs):
+    """`reader(path)`, with a file it cannot parse as a data error."""
+    try:
+        return reader(path, **kwargs)
+    except ValueError as e:
+        raise DataError(f"{path}: {e}") from None
 
 
 def _save_dataset(out_dir: Path, records):
@@ -105,33 +228,12 @@ def _load_dataset(path) -> list:
     for f in sorted(rec_dir.glob("*.esig")):
         rid = f.stem
         labels = signal_core.LabelSet.from_names(classes, label_map.get(rid, []))
-        records.append(signal_core.read_record_binary(f, subject_id=rid, labels=labels))
+        records.append(
+            _read_binary(signal_core.read_record_binary, f, subject_id=rid, labels=labels)
+        )
     if not records:
         raise DataError(f"no .esig records found under {rec_dir}")
     return records
-
-
-def _preprocessing(config: dict) -> dict:
-    return {
-        "target_hz": float(config.get("target_hz", 100.0)),
-        "window_len": int(config.get("window_len", 250)),
-        "standardize_windows": bool(config.get("standardize_windows", False)),
-    }
-
-
-def _encoder_fields(config: dict, n_leads: int) -> dict:
-    """The encoder a config describes, defaults filled in, as JSON-ready fields."""
-    enc = dict(config.get("encoder", {}))
-    enc.setdefault("n_leads", n_leads)
-    if "conv_blocks" in enc:
-        enc["conv_blocks"] = tuple(tuple(b) for b in enc["conv_blocks"])
-    cfg = EncoderConfig(**enc)
-    return dict(asdict(cfg), conv_blocks=[list(b) for b in cfg.conv_blocks])
-
-
-def _encoder_config(spec: dict) -> EncoderConfig:
-    enc = spec["encoder"]
-    return EncoderConfig(**dict(enc, conv_blocks=tuple(tuple(b) for b in enc["conv_blocks"])))
 
 
 def _load_windows(dataset_path, spec: dict, fractions=None, seed: int = 0):
@@ -159,134 +261,118 @@ def _load_windows(dataset_path, spec: dict, fractions=None, seed: int = 0):
     if fractions is None:
         split = signal_core.DatasetSplit(records, [], [])
     else:
-        split = signal_core.split_by_subject(records, tuple(fractions), seed)
-    return signal_core.split_windows(
+        split = signal_core.split_by_subject(records, fractions, seed)
+    split = signal_core.split_windows(
         split, spec["window_len"], standardize=spec["standardize_windows"]
     )
+    if not split.train:
+        raise DataError(
+            f"{dataset_path} gives no {spec['window_len']}-sample windows "
+            f"at {target_hz} Hz for training"
+        )
+    return split
 
 
-def _load_run(config: dict):
-    """(params, run spec) of the config's checkpoint.
+# run-spec keys that lineval, finetune and distshift take from the checkpoint
+_INHERITED = ("method", "target_hz", "window_len", "standardize_windows", "encoder")
+
+
+def _load_run(c: _Config):
+    """(params, run spec, encoder config) of the config's checkpoint.
 
     A consumer config may repeat an inherited key only with the spec's value.
     """
-    ckpt = config["checkpoint"]
-    if not Path(ckpt).exists():
-        raise DataError(f"checkpoint not found: {ckpt}")
-    params, spec = load_checkpoint(ckpt)
-    if spec is None:
+    if not Path(c.checkpoint).exists():
+        raise DataError(f"checkpoint not found: {c.checkpoint}")
+    params, spec = _read_binary(load_checkpoint, c.checkpoint)
+    if type(spec) is not dict or not {"dataset", *_INHERITED} <= spec.keys():
         raise DataError(
-            f"checkpoint {ckpt} carries no run spec; re-create it with 'ecgssl pretrain'"
+            f"checkpoint {c.checkpoint} carries no run spec; re-create it with 'ecgssl pretrain'"
         )
-    given = dict(
-        _preprocessing(config),
-        method=config.get("method"),
-        encoder=_encoder_fields(config, spec["encoder"]["n_leads"]),
-    )
+    try:
+        encoder = _read(EncoderConfig, spec["encoder"], "encoder")
+    except ConfigError as e:
+        raise DataError(f"checkpoint {c.checkpoint}: {e}") from None
     for key in _INHERITED:
-        if key in config and given[key] != spec[key]:
+        if key not in c.raw:
+            continue
+        if key == "encoder":
+            same = _read(EncoderConfig, {"n_leads": encoder.n_leads, **c.encoder}, key) == encoder
+        else:
+            same = getattr(c, key) == spec[key]
+        if not same:
             raise ConfigError(
-                f"{key!r} is {config[key]!r} but the checkpoint was pre-trained "
+                f"{key!r} is {c.raw[key]!r} but the checkpoint was pre-trained "
                 f"with {spec[key]!r}; leave it out to inherit it"
             )
-    return params, spec
-
-
-def _augmentation_spec(config: dict) -> augment.AugmentationSpec:
-    aug = config.get("augmentation", {"kind": "GaussianNoise", "params": {"sigma": 0.1}})
-    return augment.AugmentationSpec(aug["kind"], aug.get("params", {}))
+    return params, spec, encoder
 
 
 # ---------------------------------------------------------------------------
 # commands
 
 
-def cmd_synth_gen(config, out_dir: Path, seed: int):
-    datasets = config.get("datasets")
-    if not datasets:
-        raise ConfigError("synth-gen config needs a 'datasets' object")
-    for i, (name, spec) in enumerate(sorted(datasets.items())):
-        class_list = spec.get("classes", list(signal_core.SYNTH_CLASSES))
+def cmd_synth_gen(c: _Config, out_dir: Path, seed: int):
+    own = [f.name for f in fields(_Cohort)]
+    generator = [f.name for f in fields(signal_core.SyntheticEcgConfig)]
+    for i, (name, spec) in enumerate(sorted(c.datasets.items())):
+        where = f"datasets.{name}"
+        cohort = _read(_Cohort, spec, where, skip=generator)
         records = []
-        for j, class_id in enumerate(class_list):
-            gen_cfg = signal_core.SyntheticEcgConfig(
-                n_subjects=int(spec.get("n_subjects_per_class", 5)),
-                beats_per_record=int(spec.get("beats_per_record", 12)),
+        for j, class_id in enumerate(cohort.classes):
+            gen_cfg = _read(
+                signal_core.SyntheticEcgConfig, spec, where, skip=own,
+                n_subjects=cohort.n_subjects_per_class,
                 class_id=class_id,
-                noise_sigma=float(spec.get("noise_sigma", 0.05)),
-                sampling_rate_hz=float(spec.get("sampling_rate_hz", 100.0)),
                 seed=seed + 1000 * i + j,
-                n_leads=int(spec.get("n_leads", 1)),
-                bump_amplitudes=tuple(spec.get("bump_amplitudes", (0.15, 1.0, 0.3))),
             )
             records.extend(signal_core.generate_synthetic(gen_cfg))
         _save_dataset(out_dir / name, records)
 
 
-def cmd_augment_preview(config, out_dir: Path, seed: int):
-    record_path = config.get("record")
-    if not record_path:
-        raise ConfigError("augment-preview config needs a 'record' path")
-    if not Path(record_path).exists():
-        raise DataError(f"record file not found: {record_path}")
-    record = signal_core.read_record_binary(record_path)
-    spec = _augmentation_spec(config)
-    rng = augment.RngStream(seed)
-    augmented = augment.apply_augmentation(record.leads, spec, rng)
-    out = signal_core.EcgRecord(
-        record.subject_id, augmented, record.sampling_rate_hz, record.labels
-    )
-    out_dir.mkdir(parents=True, exist_ok=True)
-    signal_core.write_record_csv(out_dir / "augmented.csv", out)
+def cmd_augment_preview(c: _Config, out_dir: Path, seed: int):
+    if not Path(c.record).exists():
+        raise DataError(f"record file not found: {c.record}")
+    record = _read_binary(signal_core.read_record_binary, c.record)
+    leads = augment.apply_augmentation(record.leads, c.augmentation, augment.RngStream(seed))
+    signal_core.write_record_csv(out_dir / "augmented.csv", replace(record, leads=leads))
 
 
-def cmd_pretrain(config, out_dir: Path, seed: int):
-    dataset = config.get("dataset")
-    if not dataset:
-        raise ConfigError("pretrain config needs a 'dataset' path")
-    spec = dict(
-        _preprocessing(config), method=config.get("method", "SimCLR"), dataset=str(dataset)
+def cmd_pretrain(c: _Config, out_dir: Path, seed: int):
+    pc = _read(
+        train_harness.PretrainConfig, c.pretrain, "pretrain",
+        method=c.method, augmentation=c.augmentation, seed=seed,
     )
-    split = _load_windows(dataset, spec, config.get("fractions", _DEFAULT_FRACTIONS), seed)
-    pc = train_harness.PretrainConfig(
-        method=spec["method"],
-        augmentation=_augmentation_spec(config),
-        seed=seed,
-        **config.get("pretrain", {}),
-    )
-    spec["encoder"] = _encoder_fields(config, split.train[0].data.shape[0])
-    params, log = train_harness.pretrain(pc, split, _encoder_config(spec))
+    spec = dict(dataset=c.dataset, **{k: getattr(c, k) for k in _INHERITED if k != "encoder"})
+    split = _load_windows(c.dataset, spec, c.fractions, seed)
+    leads = split.train[0].data.shape[0]
+    encoder = _read(EncoderConfig, {"n_leads": leads, **c.encoder}, "encoder")
+    spec["encoder"] = asdict(encoder)
+    params, log = train_harness.pretrain(pc, split, encoder)
     save_checkpoint(out_dir / "checkpoint.ckpt", params, spec)
     log.to_csv(out_dir / "pretrain_log.csv")
 
 
-def _finetune_common(config, out_dir: Path, seed: int, freeze: bool):
-    dataset = config.get("dataset")
-    if not dataset or not config.get("checkpoint"):
-        raise ConfigError("config needs 'dataset' and 'checkpoint' paths")
-    pretrained, spec = _load_run(config)
-    split = _load_windows(dataset, spec, config.get("fractions", _DEFAULT_FRACTIONS), seed)
-    enc_cfg = _encoder_config(spec)
-    fc_kwargs = dict(config.get("finetune", {}))
-    fc_kwargs["freeze_encoder"] = freeze
-    fc = train_harness.FinetuneConfig(seed=seed, **fc_kwargs)
-    model, log = train_harness.finetune(pretrained, fc, split, enc_cfg)
-    pred = train_harness.predict_scores(model, enc_cfg, split.test)
-    _emit_metrics(out_dir, config, spec, seed, pred)
+def cmd_finetune(c: _Config, out_dir: Path, seed: int, **fixed):
+    fc = _read(train_harness.FinetuneConfig, c.finetune, "finetune", seed=seed, **fixed)
+    pretrained, spec, encoder = _load_run(c)
+    split = _load_windows(c.dataset, spec, c.fractions, seed)
+    model, log = train_harness.finetune(pretrained, fc, split, encoder)
+    pred = train_harness.predict_scores(model, encoder, split.test)
+    _emit_metrics(out_dir, c, spec, seed, pred)
     save_checkpoint(out_dir / "finetuned.ckpt", model, spec)
     log.to_csv(out_dir / "finetune_log.csv")
 
 
-def _emit_metrics(out_dir: Path, config, spec, seed, pred):
-    out_dir.mkdir(parents=True, exist_ok=True)
+def _emit_metrics(out_dir: Path, c: _Config, spec, seed, pred):
     per_class = metrics.per_class_f1(pred)
     auc_vec, auc_macro, skipped = metrics.auc(pred)
     summary = {
         "seed": seed,
-        "config_hash": _config_hash(config),
+        "config_hash": _config_hash(c.raw),
         "method": spec["method"],
         "pretrain_dataset": spec["dataset"],
-        "test_dataset": str(config.get("dataset", "")),
+        "test_dataset": c.dataset,
         "metrics": {
             "macro_f1": metrics.macro_f1(pred),
             "micro_f1": metrics.micro_f1(pred),
@@ -309,42 +395,25 @@ def _emit_metrics(out_dir: Path, config, spec, seed, pred):
                 w.writerow([name, "auc", repr(float(v))])
 
 
-def cmd_finetune(config, out_dir: Path, seed: int):
-    _finetune_common(config, out_dir, seed, freeze=bool(
-        config.get("finetune", {}).get("freeze_encoder", False)
-    ))
-
-
-def cmd_lineval(config, out_dir: Path, seed: int):
-    _finetune_common(config, out_dir, seed, freeze=True)
-
-
-def cmd_distshift(config, out_dir: Path, seed: int):
-    ref_path = config.get("dataset_ref")
-    other_path = config.get("dataset_other")
-    if not config.get("checkpoint") or not ref_path or not other_path:
-        raise ConfigError(
-            "distshift config needs 'checkpoint', 'dataset_ref', 'dataset_other'"
-        )
-    params, spec = _load_run(config)
+def cmd_distshift(c: _Config, out_dir: Path, seed: int):
+    params, spec, encoder = _load_run(c)
     report = distshift.analyze_pair(
         params,
-        _encoder_config(spec),
-        _load_windows(ref_path, spec).train,
-        _load_windows(other_path, spec).train,
-        resolution=int(config.get("resolution", 256)),
-        ref_tag=str(ref_path),
-        other_tag=str(other_path),
+        encoder,
+        _load_windows(c.dataset_ref, spec).train,
+        _load_windows(c.dataset_other, spec).train,
+        resolution=c.resolution,
+        ref_tag=c.dataset_ref,
+        other_tag=c.dataset_other,
     )
-    out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "overlap.json", "w") as f:
         f.write(report.to_json())
     for grid, name in zip(report.grids, ("density_ref.csv", "density_other.csv")):
         np.savetxt(out_dir / name, grid.density, delimiter=",")
 
 
-def cmd_report(config, out_dir: Path, seed: int):
-    scan_dir = Path(config.get("scan_dir", out_dir))
+def cmd_report(c: _Config, out_dir: Path, seed: int):
+    scan_dir = Path(c.scan_dir or out_dir)
     found = sorted(scan_dir.rglob("metrics.json"))
     if not found:
         raise DataError(f"no metrics.json files under {scan_dir}")
@@ -353,41 +422,31 @@ def cmd_report(config, out_dir: Path, seed: int):
     for f in found:
         with open(f) as fh:
             m = json.load(fh)
+        run = [m.get("method", ""), m.get("pretrain_dataset", ""), m.get("test_dataset", "")]
         for metric, value in sorted(m["metrics"].items()):
-            if value is None:
-                continue
-            rows.append(
-                [
-                    m.get("method", ""),
-                    m.get("pretrain_dataset", ""),
-                    m.get("test_dataset", ""),
-                    metric,
-                    repr(value),
-                ]
-            )
+            if value is not None:
+                rows.append([*run, metric, repr(value)])
         for cls, v in sorted(m.get("per_class_f1", {}).items()):
-            per_class_rows.append(
-                [m.get("method", ""), m.get("test_dataset", ""), cls, repr(v)]
-            )
-    out_dir.mkdir(parents=True, exist_ok=True)
+            per_class_rows.append([*run, cls, repr(v)])
     with open(out_dir / "report.csv", "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["method", "pretrain_set", "test_set", "metric", "value"])
         w.writerows(rows)
     with open(out_dir / "report_per_class.csv", "w", newline="") as f:
         w = csv.writer(f)
-        w.writerow(["method", "test_set", "class", "f1"])
+        w.writerow(["method", "pretrain_set", "test_set", "class", "f1"])
         w.writerows(per_class_rows)
 
 
+# command -> (function, the top-level keys it needs)
 _COMMANDS = {
-    "synth-gen": cmd_synth_gen,
-    "augment-preview": cmd_augment_preview,
-    "pretrain": cmd_pretrain,
-    "finetune": cmd_finetune,
-    "lineval": cmd_lineval,
-    "distshift": cmd_distshift,
-    "report": cmd_report,
+    "synth-gen": (cmd_synth_gen, ("datasets",)),
+    "augment-preview": (cmd_augment_preview, ("record",)),
+    "pretrain": (cmd_pretrain, ("dataset",)),
+    "finetune": (cmd_finetune, ("dataset", "checkpoint")),
+    "lineval": (functools.partial(cmd_finetune, freeze_encoder=True), ("dataset", "checkpoint")),
+    "distshift": (cmd_distshift, ("checkpoint", "dataset_ref", "dataset_other")),
+    "report": (cmd_report, ()),
 }
 
 
@@ -401,22 +460,30 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=None, help="experiment seed")
     args = parser.parse_args(argv)
 
+    out_dir = Path(args.out)
+    command, needs = _COMMANDS[args.command]
+    config, seed = None, args.seed
     try:
+        out_dir.mkdir(parents=True, exist_ok=True)
         config = _load_config(args.config)
-        seed = args.seed if args.seed is not None else int(config.get("seed", 0))
-        out_dir = Path(args.out)
-        _write_manifest(out_dir, args.command, config, seed)
-        _COMMANDS[args.command](config, out_dir, seed)
+        c = _read(_Config, config, "")
+        c.raw = config
+        seed = args.seed if args.seed is not None else c.seed
+        _need(c, needs)
+        command(c, out_dir, seed)
+        _write_manifest(out_dir, args.command, config, seed, EXIT_OK, None)
+        return EXIT_OK
     except ConfigError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
+        code, error = EXIT_CONFIG, f"config error: {e}"
     except DataError as e:
-        print(f"data error: {e}", file=sys.stderr)
-        return EXIT_DATA
+        code, error = EXIT_DATA, f"data error: {e}"
     except (ValueError, TypeError, OSError, FloatingPointError) as e:
-        print(f"runtime error: {e}", file=sys.stderr)
-        return EXIT_RUNTIME
-    return EXIT_OK
+        code, error = EXIT_RUNTIME, f"runtime error: {e}"
+    print(error, file=sys.stderr)
+    # the failure record is best effort: the directory may be what failed
+    with contextlib.suppress(OSError):
+        _write_manifest(out_dir, args.command, config, seed, code, error)
+    return code
 
 
 if __name__ == "__main__":

@@ -11,6 +11,7 @@ and two-layer MLP heads.
 from __future__ import annotations
 
 import json
+import math
 import struct
 import threading
 from collections import OrderedDict
@@ -390,7 +391,7 @@ class EncoderConfig:
     """Architecture of the 1D-CNN encoder plus projection/prediction heads."""
 
     n_leads: int = 1
-    conv_blocks: tuple = ((16, 7, 2), (32, 7, 2), (64, 7, 2))
+    conv_blocks: tuple[tuple[int, int, int], ...] = ((16, 7, 2), (32, 7, 2), (64, 7, 2))
     embedding_dim: int = 64
     projection_dim: int = 32
     prediction_hidden: int = 32
@@ -622,27 +623,40 @@ def load_checkpoint(path):
     """Returns (ModelParams, spec dict | None).
 
     Version 1 files (no spec; a trailing optimizer block, ignored) load with
-    ``spec = None``.
+    ``spec = None``. Raises ValueError for a file that is not a whole
+    checkpoint.
     """
     with open(path, "rb") as f:
-        if f.read(4) != _CKPT_MAGIC:
-            raise ValueError("not a checkpoint file (bad magic)")
-        (version,) = struct.unpack("<I", f.read(4))
-        if version == 1:
-            spec = None
-        elif version == 2:
-            (spec_len,) = struct.unpack("<I", f.read(4))
-            spec = json.loads(f.read(spec_len).decode("utf-8"))
-        else:
-            raise ValueError(f"unsupported checkpoint version {version}")
-        (n_params,) = struct.unpack("<I", f.read(4))
-        params = OrderedDict()
-        for _ in range(n_params):
-            (nlen,) = struct.unpack("<H", f.read(2))
-            name = f.read(nlen).decode("utf-8")
-            (ndim,) = struct.unpack("<I", f.read(4))
-            shape = tuple(struct.unpack("<I", f.read(4))[0] for _ in range(ndim))
-            n = int(np.prod(shape)) if shape else 1
-            data = np.frombuffer(f.read(4 * n), dtype=np.float32).reshape(shape)
-            params[name] = Tensor(data.astype(np.float64), requires_grad=True)
+        blob = f.read()
+    pos = 0
+
+    def take(n):
+        nonlocal pos
+        if n > len(blob) - pos:
+            raise ValueError(f"truncated checkpoint: {len(blob)} bytes, needs at least {pos + n}")
+        pos += n
+        return blob[pos - n : pos]
+
+    def unpack(fmt):
+        return struct.unpack(fmt, take(struct.calcsize(fmt)))
+
+    if take(4) != _CKPT_MAGIC:
+        raise ValueError("not a checkpoint file (bad magic)")
+    (version,) = unpack("<I")
+    if version == 1:
+        spec = None
+    elif version == 2:
+        (spec_len,) = unpack("<I")
+        spec = json.loads(take(spec_len).decode("utf-8"))
+    else:
+        raise ValueError(f"unsupported checkpoint version {version}")
+    (n_params,) = unpack("<I")
+    params = OrderedDict()
+    for _ in range(n_params):
+        (nlen,) = unpack("<H")
+        name = take(nlen).decode("utf-8")
+        (ndim,) = unpack("<I")
+        shape = unpack(f"<{ndim}I")
+        data = np.frombuffer(take(4 * math.prod(shape)), dtype=np.float32).reshape(shape)
+        params[name] = Tensor(data.astype(np.float64), requires_grad=True)
     return ModelParams(params), spec

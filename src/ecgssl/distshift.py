@@ -29,6 +29,9 @@ __all__ = [
     "analyze_pair",
 ]
 
+# cells per side of the KDE grid
+DEFAULT_RESOLUTION = 256
+
 
 @dataclass
 class EmbeddingSet:
@@ -146,7 +149,7 @@ def shared_grid_bounds(points_a, points_b, pad_bandwidths: float = 3.0):
     return both.min(axis=0) - pad_bandwidths * bw, both.max(axis=0) + pad_bandwidths * bw
 
 
-def kde_2d(points, resolution: int = 256, bounds=None) -> DensityGrid:
+def kde_2d(points, resolution: int = DEFAULT_RESOLUTION, bounds=None) -> DensityGrid:
     """Gaussian product-kernel density on a regular grid, normalized so the
     cell sum times the cell area is 1.
 
@@ -227,7 +230,7 @@ def analyze_pair(
     cfg: EncoderConfig,
     ref_windows,
     other_windows,
-    resolution: int = 256,
+    resolution: int = DEFAULT_RESOLUTION,
     ref_tag: str = "reference",
     other_tag: str = "other",
 ) -> OverlapReport:

@@ -120,7 +120,7 @@ class SyntheticEcgConfig:
     n_leads: int = 1
     # amplitudes of the three per-beat bumps; a knob for making generator
     # variants that are deliberately out-of-distribution w.r.t. each other
-    bump_amplitudes: tuple = (0.15, 1.0, 0.3)
+    bump_amplitudes: tuple[float, float, float] = (0.15, 1.0, 0.3)
 
     def __post_init__(self):
         if self.n_subjects < 1:
@@ -204,13 +204,11 @@ def resample(record: EcgRecord, target_hz: float) -> EcgRecord:
 # windowing and splitting
 
 
-def window(record: EcgRecord, window_len: int, overlap: int = 0) -> list:
-    """Cut a record into fixed-length windows; the trailing remainder is dropped."""
+def window(record: EcgRecord, window_len: int) -> list:
+    """Cut a record into back-to-back fixed-length windows; the trailing
+    remainder is dropped."""
     if window_len < 1:
         raise ValueError("window_len must be >= 1")
-    if not 0 <= overlap < window_len:
-        raise ValueError("overlap must satisfy 0 <= overlap < window_len")
-    step = window_len - overlap
     out = []
     start = 0
     while start + window_len <= record.n_samples:
@@ -221,7 +219,7 @@ def window(record: EcgRecord, window_len: int, overlap: int = 0) -> list:
                 record.labels,
             )
         )
-        start += step
+        start += window_len
     return out
 
 
@@ -269,12 +267,12 @@ def standardize_window(w: Window) -> Window:
 
 
 def split_windows(
-    split: DatasetSplit, window_len: int, overlap: int = 0, standardize: bool = False
+    split: DatasetSplit, window_len: int, standardize: bool = False
 ) -> DatasetSplit:
     """Window every record of an already-split dataset (split first, then window)."""
 
     def expand(records):
-        out = [w for r in records for w in window(r, window_len, overlap)]
+        out = [w for r in records for w in window(r, window_len)]
         return [standardize_window(w) for w in out] if standardize else out
 
     return DatasetSplit(expand(split.train), expand(split.validation), expand(split.test))
@@ -367,13 +365,23 @@ def write_record_binary(path, record: EcgRecord):
 
 
 def read_record_binary(path, subject_id=None, labels=None) -> EcgRecord:
+    """Raises ValueError for a file that is not a whole ESIG record."""
     with open(path, "rb") as f:
-        if f.read(4) != _ESIG_MAGIC:
-            raise ValueError("not an ESIG file (bad magic)")
-        version, n_leads, n_samples, rate = struct.unpack("<IIQd", f.read(24))
-        if version != _ESIG_VERSION:
-            raise ValueError(f"unsupported ESIG version {version}")
-        data = np.frombuffer(f.read(4 * n_leads * n_samples), dtype="<f4")
+        blob = f.read()
+    if blob[:4] != _ESIG_MAGIC:
+        raise ValueError("not an ESIG file (bad magic)")
+    header = struct.calcsize("<IIQd")
+    if len(blob) < 4 + header:
+        raise ValueError(f"truncated ESIG header: {len(blob)} bytes")
+    version, n_leads, n_samples, rate = struct.unpack_from("<IIQd", blob, 4)
+    if version != _ESIG_VERSION:
+        raise ValueError(f"unsupported ESIG version {version}")
+    size = len(blob) - 4 - header
+    if size != 4 * n_leads * n_samples:
+        raise ValueError(
+            f"ESIG data is {size} bytes; the header says {n_leads} x {n_samples} f32 samples"
+        )
+    data = np.frombuffer(blob, dtype="<f4", offset=4 + header)
     leads = data.astype(np.float64).reshape(n_leads, n_samples)
     if subject_id is None:
         subject_id = str(path)

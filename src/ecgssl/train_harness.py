@@ -90,6 +90,10 @@ class FinetuneConfig:
     def __post_init__(self):
         if self.lr <= 0:
             raise ValueError("lr must be positive")
+        if self.epochs < 1:
+            raise ValueError("epochs must be >= 1")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
 
 
 @dataclass

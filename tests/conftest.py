@@ -1,5 +1,14 @@
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
+
+# CI runs every hypothesis test on its fixed examples, without time limits,
+# so a run's outcome does not depend on the runner's speed or luck
+settings.register_profile("ci", derandomize=True, deadline=None)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
 
 
 def finite_difference_grads(fn, tensors, step=1e-4):

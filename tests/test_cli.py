@@ -1,13 +1,23 @@
+import contextlib
+import io
 import json
+import re
 import struct
+import tempfile
+from dataclasses import asdict, fields, is_dataclass
 from pathlib import Path
+from typing import get_args, get_origin
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from ecgssl import distshift, signal_core
+from ecgssl import cli, distshift, signal_core
+from ecgssl import train_harness as th
+from ecgssl.augment import AugmentationSpec
 from ecgssl.cli import main
-from ecgssl.diffcore import EncoderConfig, load_checkpoint
+from ecgssl.diffcore import EncoderConfig, init_encoder_params, load_checkpoint, save_checkpoint
 
 
 def write_config(path: Path, config: dict) -> str:
@@ -397,3 +407,409 @@ class TestAugmentPreview:
             tmp_path / "aug.json", {"record": str(tmp_path / "none.esig")}
         )
         assert run("augment-preview", cfg, tmp_path / "out") == 3
+
+
+# ---------------------------------------------------------------------------
+# the config boundary: every bad setting or corrupt input file exits 2 or 3
+# with one line that names it, and a failed run leaves a failed manifest
+
+
+def run_failing(command, config, tmp_path, capsys):
+    """(exit code, the stderr line) of one run; fails on more than one line."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    code = run(command, path, tmp_path / "out")
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1, lines
+    assert "Traceback" not in lines[0]
+    return code, lines[0]
+
+
+def pre(data, **extra):
+    return {"dataset": str(data / "cohortA"), "encoder": SMALL_ENCODER, **extra}
+
+
+def lin(data, ckpt, **extra):
+    return {"dataset": str(data / "cohortA"), "checkpoint": str(ckpt), **extra}
+
+
+BAD_CONFIGS = {
+    "json-list": ("pretrain", lambda d, c: [1, 2], "config must be an object"),
+    "augmentation-without-kind": (
+        "augment-preview",
+        lambda d, c: {
+            "record": str(sorted((d / "cohortA" / "records").glob("*.esig"))[0]),
+            "augmentation": {"params": {"sigma": 0.1}},
+        },
+        "'kind'",
+    ),
+    "misspelled-pretrain-key": (
+        "pretrain", lambda d, c: pre(d, pretrain={"epoch": 1}), "did you mean 'epochs'"
+    ),
+    "pretrain-seed": ("pretrain", lambda d, c: pre(d, pretrain={"seed": 3}), "pretrain.seed"),
+    "epochs-string": (
+        "pretrain", lambda d, c: pre(d, pretrain={"epochs": "two"}), "pretrain.epochs"
+    ),
+    "embedding-dim-string": (
+        "pretrain",
+        lambda d, c: pre(d, encoder=dict(SMALL_ENCODER, embedding_dim="x")),
+        "encoder.embedding_dim",
+    ),
+    "misspelled-encoder-key": (
+        "pretrain",
+        lambda d, c: pre(d, encoder={"conv_blok": [[4, 5, 2]]}),
+        "did you mean 'conv_blocks'",
+    ),
+    "target-hz-string": ("pretrain", lambda d, c: pre(d, target_hz="abc"), "target_hz"),
+    "target-hz-beyond-float": ("pretrain", lambda d, c: pre(d, target_hz=10**400), "target_hz"),
+    "fractions-two-items": ("pretrain", lambda d, c: pre(d, fractions=[0.5, 0.5]), "fractions"),
+    "conv-block-float": (
+        "pretrain", lambda d, c: pre(d, encoder={"conv_blocks": [[4.5, 5, 2]]}),
+        "encoder.conv_blocks[0][0]",
+    ),
+    "bump-amplitude-bool": (
+        "synth-gen",
+        lambda d, c: {"datasets": {"x": {"bump_amplitudes": [True, 0.5, 0.7]}}},
+        "datasets.x.bump_amplitudes[0]",
+    ),
+    "synth-n-leads-string": (
+        "synth-gen", lambda d, c: {"datasets": {"x": {"n_leads": "x"}}}, "datasets.x.n_leads"
+    ),
+    "misspelled-method": ("pretrain", lambda d, c: pre(d, methd="BYOL"), "did you mean 'method'"),
+    "fractional-seed": ("pretrain", lambda d, c: pre(d, seed=1.7), "seed"),
+    "finetune-zero-epochs": ("finetune", lambda d, c: lin(d, c, finetune={"epochs": 0}), "epochs"),
+    "finetune-zero-batch": (
+        "lineval", lambda d, c: lin(d, c, finetune={"batch_size": 0}), "batch_size"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CONFIGS))
+def test_bad_config_exits_2_naming_the_setting(case, data_dir, pretrain_dir, tmp_path, capsys):
+    command, make, named = BAD_CONFIGS[case]
+    config = make(data_dir, pretrain_dir / "checkpoint.ckpt")
+    code, line = run_failing(command, config, tmp_path, capsys)
+    assert code == 2, line
+    assert line.startswith("config error: ") and named in line, line
+
+
+# case -> (file kind, bytes kept)
+CORRUPT_FILES = {
+    "esig-12-bytes": ("esig", 12),
+    "esig-100-bytes": ("esig", 100),
+    "checkpoint-10-bytes": ("ckpt", 10),
+    "checkpoint-40-bytes": ("ckpt", 40),
+}
+
+
+def corrupt_config(kind, path, data_dir):
+    if kind == "esig":
+        return "augment-preview", {"record": str(path)}
+    return "distshift", {
+        "checkpoint": str(path),
+        "dataset_ref": str(data_dir / "cohortA"),
+        "dataset_other": str(data_dir / "cohortB"),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(CORRUPT_FILES))
+def test_truncated_file_exits_3_naming_the_file(case, data_dir, pretrain_dir, tmp_path, capsys):
+    kind, size = CORRUPT_FILES[case]
+    whole = (
+        sorted((data_dir / "cohortA" / "records").glob("*.esig"))[0]
+        if kind == "esig"
+        else pretrain_dir / "checkpoint.ckpt"
+    )
+    cut = tmp_path / f"cut.{kind}"
+    cut.write_bytes(whole.read_bytes()[:size])
+    command, config = corrupt_config(kind, cut, data_dir)
+    code, line = run_failing(command, config, tmp_path, capsys)
+    assert code == 3, line
+    assert line.startswith("data error: ") and str(cut) in line, line
+
+
+def test_config_that_is_not_utf8_is_config_error(tmp_path, capsys):
+    bad = tmp_path / "cfg.json"
+    bad.write_bytes(b'{"seed": "\xff"}')
+    assert run("synth-gen", bad, tmp_path / "out") == 2
+    assert "malformed config" in capsys.readouterr().err
+
+
+def test_window_longer_than_records_is_data_error(data_dir, tmp_path, capsys):
+    code, line = run_failing("pretrain", pre(data_dir, window_len=5000), tmp_path, capsys)
+    assert code == 3 and "5000-sample windows" in line, line
+
+
+def test_truncated_record_in_dataset_is_data_error(data_dir, pretrain_dir, tmp_path, capsys):
+    cohort = tmp_path / "cohort"
+    (cohort / "records").mkdir(parents=True)
+    for f in sorted((data_dir / "cohortA" / "records").glob("*.esig")):
+        (cohort / "records" / f.name).write_bytes(f.read_bytes())
+    (cohort / "labels.csv").write_bytes((data_dir / "cohortA" / "labels.csv").read_bytes())
+    victim = sorted((cohort / "records").glob("*.esig"))[3]
+    victim.write_bytes(victim.read_bytes()[:-4])
+    config = lin(tmp_path, pretrain_dir / "checkpoint.ckpt", dataset=str(cohort))
+    code, line = run_failing("lineval", config, tmp_path, capsys)
+    assert code == 3 and victim.name in line, line
+
+
+class TestManifest:
+    def test_success_is_ok(self, pretrain_dir):
+        manifest = json.loads((pretrain_dir / "manifest.json").read_text())
+        assert manifest["status"] == "ok"
+        assert set(manifest) == {"command", "config", "config_hash", "seed", "status"}
+
+    def test_failure_records_code_and_message(self, data_dir, tmp_path, capsys):
+        code, line = run_failing("pretrain", pre(data_dir, methd="BYOL"), tmp_path, capsys)
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["status"] == "failed"
+        assert manifest["exit_code"] == code == 2
+        assert manifest["error"] == line
+        assert manifest["config"]["methd"] == "BYOL"
+
+    def test_failed_rerun_replaces_an_ok_manifest(self, data_dir, tmp_path, capsys):
+        out = tmp_path / "out"
+        good = write_config(tmp_path / "good.json", {"record": str(
+            sorted((data_dir / "cohortA" / "records").glob("*.esig"))[0]
+        )})
+        assert run("augment-preview", good, out) == 0
+        assert json.loads((out / "manifest.json").read_text())["status"] == "ok"
+        bad = write_config(tmp_path / "bad.json", {"record": str(tmp_path / "none.esig")})
+        assert run("augment-preview", bad, out) == 3
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "failed" and manifest["exit_code"] == 3
+
+    def test_unreadable_config_still_leaves_a_record(self, tmp_path, capsys):
+        assert run("synth-gen", tmp_path / "nope.json", tmp_path / "out") == 2
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["status"] == "failed" and manifest["config"] is None
+
+
+def test_report_per_class_tells_pretraining_sets_apart(tmp_path):
+    runs = tmp_path / "runs"
+    for pretrain_set in ("cohortA", "cohortB"):
+        (runs / pretrain_set).mkdir(parents=True)
+        (runs / pretrain_set / "metrics.json").write_text(json.dumps({
+            "method": "SimCLR",
+            "pretrain_dataset": pretrain_set,
+            "test_dataset": "cohortA",
+            "metrics": {"macro_f1": 0.5},
+            "per_class_f1": {"normal": 0.5},
+        }))
+    cfg = write_config(tmp_path / "rep.json", {"scan_dir": str(runs)})
+    assert run("report", cfg, tmp_path / "report") == 0
+    rows = (tmp_path / "report" / "report_per_class.csv").read_text().strip().splitlines()
+    assert rows == [
+        "method,pretrain_set,test_set,class,f1",
+        "SimCLR,cohortA,cohortA,normal,0.5",
+        "SimCLR,cohortB,cohortA,normal,0.5",
+    ]
+
+
+# ---------------------------------------------------------------------------
+# fuzz: configs mutated from valid small ones, and every prefix of small files
+
+JSON_SAMPLES = ["x", 0, 1.5, True, None, [], {}]
+# dataclass field names anywhere in the schema: an added key must be none
+SCHEMA_KEYS = {
+    f.name
+    for cls in (
+        cli._Config, cli._Cohort, th.PretrainConfig, th.FinetuneConfig,
+        EncoderConfig, signal_core.SyntheticEcgConfig, AugmentationSpec,
+    )
+    for f in fields(cls)
+}
+
+
+def valid_configs(data, ckpt):
+    rec = sorted((data / "cohortA" / "records").glob("*.esig"))[0]
+    return {
+        "synth-gen": {
+            "datasets": {"a": {"classes": ["normal"], "n_subjects_per_class": 1,
+                               "beats_per_record": 4, "bump_amplitudes": [0.5, 0.5, 0.7]}}
+        },
+        "augment-preview": {
+            "record": str(rec), "augmentation": {"kind": "Masking",
+                                                 "params": {"a_pct": 10, "b_pct": 20}},
+        },
+        "pretrain": pre(data, method="BYOL", fractions=[0.6, 0.2, 0.2],
+                        augmentation={"kind": "GaussianNoise", "params": {"sigma": 0.1}},
+                        target_hz=100, window_len=250, standardize_windows=True,
+                        pretrain={"epochs": 1, "batch_size": 8, "lr": 0.001}),
+        "finetune": lin(data, ckpt, fractions=[0.6, 0.2, 0.2],
+                        finetune={"epochs": 1, "batch_size": 8, "freeze_encoder": False}),
+        "distshift": {"checkpoint": str(ckpt), "dataset_ref": str(data / "cohortA"),
+                      "dataset_other": str(data / "cohortB"), "resolution": 32},
+    }
+
+
+def paths_of(obj, at=()):
+    """Every (path, value) below obj, not entering augmentation params,
+    whose keys belong to the recipe rather than to the schema."""
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj)
+    for key, value in items:
+        yield at + (key,), value
+        if isinstance(value, (dict, list)) and key != "params":
+            yield from paths_of(value, at + (key,))
+
+
+def wrong_types(value):
+    """JSON values no field holding `value` accepts."""
+    if type(value) is float:
+        ok = (int, float)
+    elif type(value) is int:
+        ok = (int,)
+    else:
+        ok = (type(value),)
+    return [v for v in JSON_SAMPLES if type(v) not in ok]
+
+
+def mutate(config, data, command):
+    """A copy of `config` with one thing wrong, drawn from `data`."""
+    config = json.loads(json.dumps(config))
+    kind = data.draw(st.sampled_from(["type", "key", "missing", "object"]), label="kind")
+    if kind == "missing":
+        needs = list(cli._COMMANDS[command][1])
+        if "augmentation" in config:
+            needs.append(("augmentation", "kind"))
+        key = data.draw(st.sampled_from(needs), label="missing")
+        at, key = ((), key) if isinstance(key, str) else (key[:-1], key[-1])
+        parent = config
+        for k in at:
+            parent = parent[k]
+        del parent[key]
+        return config
+    if kind == "object":
+        objects = [()] + [p for p, v in paths_of(config) if isinstance(v, dict)]
+        at = data.draw(st.sampled_from(objects), label="object")
+        value = data.draw(st.sampled_from([v for v in JSON_SAMPLES if type(v) is not dict]))
+    else:
+        paths = list(paths_of(config))
+        if kind == "key":
+            objects = [()] + [p for p, v in paths if isinstance(v, dict) and p[-1] != "params"]
+            parent_at = data.draw(st.sampled_from(objects), label="object")
+            parent = config
+            for k in parent_at:
+                parent = parent[k]
+            base = data.draw(st.sampled_from(sorted(parent) or ["seed"]), label="near")
+            i = data.draw(st.integers(0, len(base) - 1), label="cut")
+            key = base[:i] + base[i + 1:] + data.draw(st.sampled_from(["", "s", "_"]))
+            assume(key not in SCHEMA_KEYS and key not in parent)
+            at, value = parent_at + (key,), 1
+        else:
+            at, old = data.draw(st.sampled_from(paths), label="path")
+            value = data.draw(st.sampled_from(wrong_types(old)), label="value")
+    if not at:
+        return value
+    parent = config
+    for k in at[:-1]:
+        parent = parent[k]
+    parent[at[-1]] = value
+    return config
+
+
+def run_quietly(command, config_path, out_dir):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = run(command, config_path, out_dir)
+    return code, err.getvalue().strip().splitlines()
+
+
+@settings(max_examples=150, deadline=None)
+@given(command=st.sampled_from(["synth-gen", "augment-preview", "pretrain", "finetune",
+                                "lineval", "distshift"]),
+       data=st.data())
+def test_fuzz_mutated_configs_fail_with_one_line(command, data, data_dir, pretrain_dir):
+    base = valid_configs(data_dir, pretrain_dir / "checkpoint.ckpt")
+    config = mutate(base["finetune" if command == "lineval" else command], data, command)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cfg.json"
+        path.write_text(json.dumps(config))
+        code, lines = run_quietly(command, path, Path(tmp) / "out")
+    assert code in (2, 3, 4), (config, lines)
+    assert len(lines) == 1 and "Traceback" not in lines[0], lines
+
+
+def test_fuzz_valid_configs_pass(data_dir, pretrain_dir, tmp_path):
+    """The fuzz's starting points are valid, so its failures are the mutations'."""
+    for command, config in valid_configs(data_dir, pretrain_dir / "checkpoint.ckpt").items():
+        path = write_config(tmp_path / f"{command}.json", config)
+        assert run_quietly(command, path, tmp_path / command) == (0, []), command
+
+
+def test_every_prefix_of_a_record_and_a_checkpoint_is_data_error(data_dir, tmp_path):
+    record = signal_core.EcgRecord("r", np.arange(12.0).reshape(2, 6), 100.0,
+                                   signal_core.LabelSet((), ()))
+    esig = tmp_path / "whole.esig"
+    signal_core.write_record_binary(esig, record)
+    enc = EncoderConfig(n_leads=1, conv_blocks=((2, 3, 2),), embedding_dim=2,
+                        projection_dim=2, prediction_hidden=2)
+    spec = {"method": "SimCLR", "dataset": "d", "target_hz": 100.0, "window_len": 250,
+            "standardize_windows": False, "encoder": asdict(enc)}
+    ckpt = tmp_path / "whole.ckpt"
+    save_checkpoint(ckpt, init_encoder_params(enc, 0), spec)
+    cut = {"esig": tmp_path / "cut.esig", "ckpt": tmp_path / "cut.ckpt"}
+    configs = {kind: write_config(tmp_path / f"{kind}.json",
+                                  corrupt_config(kind, cut[kind], data_dir)[1])
+               for kind in cut}
+    for kind, whole in (("esig", esig), ("ckpt", ckpt)):
+        blob = whole.read_bytes()
+        command = corrupt_config(kind, whole, data_dir)[0]
+        for n in range(len(blob)):
+            cut[kind].write_bytes(blob[:n])
+            code, lines = run_quietly(command, configs[kind], tmp_path / "out")
+            assert code == 3 and len(lines) == 1, (kind, n, lines)
+            assert str(cut[kind]) in lines[0], (kind, n, lines)
+
+
+# ---------------------------------------------------------------------------
+# the README's configs
+
+
+def readme_configs():
+    """(command, config) of every JSON config the README's CLI section runs."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    files = dict(re.findall(r"cat > (\S+\.json) <<'JSON'\n(.*?)\nJSON\n", text, re.S))
+    found = [
+        (command, json.loads(files[name]))
+        for command, name in re.findall(r"ecgssl (\S+) --config (\S+\.json)", text)
+        if command in cli._COMMANDS
+    ]
+    found += [
+        (command, json.loads(inline))
+        for command, inline in re.findall(r"ecgssl (\S+) --config <\(echo '(.*?)'\)", text)
+    ]
+    return found
+
+
+def read_for(command, config, tmp_path):
+    """Everything `command` reads from `config`, read as the command reads
+    it; synth-gen, which is quick, runs."""
+    c = cli._read(cli._Config, config, "")
+    cli._need(c, cli._COMMANDS[command][1])
+    if command == "synth-gen":
+        assert run(command, write_config(tmp_path / "gen.json", config), tmp_path / "gen") == 0
+    if command == "pretrain":
+        cli._read(th.PretrainConfig, c.pretrain, "pretrain", method=c.method,
+                  augmentation=c.augmentation, seed=0)
+        cli._read(EncoderConfig, {"n_leads": 1, **c.encoder}, "encoder")
+    if command in ("finetune", "lineval"):
+        cli._read(th.FinetuneConfig, c.finetune, "finetune", seed=0)
+
+
+def test_readme_configs_pass_the_reader(tmp_path):
+    found = readme_configs()
+    assert sorted(command for command, _ in found) == [
+        "distshift", "lineval", "pretrain", "report", "synth-gen"
+    ]
+    for command, config in found:
+        read_for(command, config, tmp_path)
+
+
+def test_every_schema_field_has_a_json_type():
+    for cls in (cli._Config, cli._Cohort, th.PretrainConfig, th.FinetuneConfig,
+                EncoderConfig, signal_core.SyntheticEcgConfig, AugmentationSpec):
+        for name, hint in cli._hints(cls).items():
+            while get_origin(hint) is tuple:
+                hint = get_args(hint)[0]
+            assert is_dataclass(hint) or hint in cli._TYPES, (cls.__name__, name, hint)

@@ -80,7 +80,7 @@ class TestResample:
 class TestWindow:
     def test_1000_samples_gives_4_windows(self):
         rec = make_record(np.arange(1000, dtype=float)[None, :])
-        assert len(sc.window(rec, 250, 0)) == 4
+        assert len(sc.window(rec, 250)) == 4
 
     def test_exact_fit_single_window(self):
         data = np.random.default_rng(3).standard_normal((2, 250))
@@ -91,7 +91,7 @@ class TestWindow:
 
     def test_remainder_dropped(self):
         rec = make_record(np.arange(999, dtype=float)[None, :])
-        wins = sc.window(rec, 250, 0)
+        wins = sc.window(rec, 250)
         assert len(wins) == 3
         assert wins[-1].data[0, -1] == 749.0
 
@@ -102,7 +102,7 @@ class TestWindow:
     def test_concatenation_reconstructs_prefix(self):
         data = np.random.default_rng(4).standard_normal((3, 777))
         rec = make_record(data)
-        wins = sc.window(rec, 100, 0)
+        wins = sc.window(rec, 100)
         joined = np.concatenate([w.data for w in wins], axis=1)
         np.testing.assert_array_equal(joined, data[:, : joined.shape[1]])
 

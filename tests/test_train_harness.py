@@ -66,6 +66,11 @@ class TestConfigs:
         with pytest.raises(ValueError):
             th.FinetuneConfig(lr=0.0)
 
+    @pytest.mark.parametrize("field", ["epochs", "batch_size"])
+    def test_finetune_below_one_rejected(self, field):
+        with pytest.raises(ValueError, match=field):
+            th.FinetuneConfig(**{field: 0})
+
 
 class TestPretrain:
     @pytest.mark.parametrize("method", th.METHODS)
