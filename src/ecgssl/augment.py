@@ -1,26 +1,27 @@
 """Eight augmentation recipes producing correlated views of ECG windows.
 
-All functions take and return (n_leads, window_len) float arrays and are
-deterministic given the input, the parameters, and the RngStream seed.
+Each recipe is declared once, in `_RECIPES`: its parameter names, the check
+of their values, and its application. An `AugmentationSpec` runs the check
+when it is built, so applications take their parameters as given. All take
+and return (n_leads, window_len) float arrays and are deterministic given
+the input, the parameters, and the RngStream seed.
 """
 
 from __future__ import annotations
 
+import numbers
+import sys
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 __all__ = [
     "RngStream",
     "AugmentationSpec",
-    "gaussian_noise",
-    "channel_scale",
     "negate",
-    "baseline_wander",
-    "emg_noise",
     "mask",
     "time_warp",
-    "combine",
     "apply_augmentation",
     "COMBINATION_POOL",
 ]
@@ -36,60 +37,43 @@ class RngStream:
         self.generator = np.random.default_rng(self.seed)
 
 
-def _arr(x):
-    a = np.asarray(x, dtype=np.float64)
-    if a.ndim != 2:
-        raise ValueError("expected a (n_leads, window_len) array")
-    return a
+# Each application below takes a float64 (n_leads, window_len) array `x`, the
+# parameters of a checked spec and the stream; it returns a new array.
 
 
-def gaussian_noise(x, sigma: float, rng: RngStream):
+def _gaussian_noise(x, p, rng):
     """Additive i.i.d. Normal(0, sigma^2) noise on every sample."""
-    if sigma <= 0:
-        raise ValueError("sigma must be > 0")
-    x = _arr(x)
-    return x + rng.generator.normal(0.0, sigma, size=x.shape)
+    return x + rng.generator.normal(0.0, p["sigma"], size=x.shape)
 
 
-def channel_scale(x, a: float, b: float, rng: RngStream):
+def _channel_scale(x, p, rng):
     """Each lead multiplied by an independent factor drawn uniformly in [a, b]."""
-    if not 0 < a <= b:
-        raise ValueError("need 0 < a <= b")
-    x = _arr(x)
-    s = rng.generator.uniform(a, b, size=(x.shape[0], 1))
-    return x * s
+    return x * rng.generator.uniform(p["a"], p["b"], size=(x.shape[0], 1))
 
 
-def negate(x):
-    return -_arr(x)
+def _negate(x, p, rng):
+    return -x
 
 
-def baseline_wander(x, f_w: float, s_bw: float, rng: RngStream):
+def _baseline_wander(x, p, rng):
     """Add a slow sinusoid with period f_w samples and random phase.
 
     f_w is interpreted as a period in samples (100 samples = 1 Hz drift at
     100 Hz); the same waveform is added to every lead.
     """
-    if f_w <= 0:
-        raise ValueError("f_w must be > 0")
-    if s_bw < 0:
-        raise ValueError("s_bw must be >= 0")
-    x = _arr(x)
     phase = rng.generator.uniform(0.0, 2.0 * np.pi)
     t = np.arange(x.shape[1])
-    wave = s_bw * np.sin(2.0 * np.pi * t / f_w + phase)
+    wave = p["s_bw"] * np.sin(2.0 * np.pi * t / p["f_w"] + phase)
     return x + wave[None, :]
 
 
-def emg_noise(x, sigma: float, rng: RngStream):
+def _emg_noise(x, p, rng):
     """High-pass-filtered white noise simulating muscle-activity artifacts.
 
     The noise is brick-wall filtered above 0.3 x Nyquist in the frequency
     domain, then rescaled so its sample std is sigma again.
     """
-    if sigma <= 0:
-        raise ValueError("sigma must be > 0")
-    x = _arr(x)
+    sigma = p["sigma"]
     n = x.shape[1]
     noise = rng.generator.normal(0.0, sigma, size=x.shape)
     spec = np.fft.rfft(noise, axis=1)
@@ -102,13 +86,11 @@ def emg_noise(x, sigma: float, rng: RngStream):
     return x + filtered
 
 
-def mask(x, a_pct: float, b_pct: float, rng: RngStream):
+def _mask(x, p, rng):
     """Zero a contiguous c% run per lead, c drawn once per window from [a, b]."""
-    if not 0 <= a_pct <= b_pct <= 100:
-        raise ValueError("need 0 <= a_pct <= b_pct <= 100")
-    x = _arr(x).copy()
+    x = x.copy()
     n = x.shape[1]
-    c = rng.generator.uniform(a_pct, b_pct)
+    c = rng.generator.uniform(p["a_pct"], p["b_pct"])
     run = int(round(c / 100.0 * n))
     if run == 0:
         return x
@@ -126,17 +108,13 @@ def _resample_segment(seg, new_len):
     return np.interp(new, old, seg)
 
 
-def time_warp(x, w: int, r_pct: float, rng: RngStream):
+def _time_warp(x, p, rng):
     """Stretch a random half of w segments by r% and squeeze the rest.
 
     Total length is preserved exactly. For w = 1 the single segment is split
     into two halves internally so that one can stretch and the other squeeze.
     """
-    if w < 1:
-        raise ValueError("w must be >= 1")
-    if r_pct <= 0:
-        raise ValueError("r_pct must be > 0")
-    x = _arr(x)
+    w = int(p["w"])
     n = x.shape[1]
     if n < 2 * w:
         raise ValueError("window too short for the requested segment count")
@@ -147,7 +125,7 @@ def time_warp(x, w: int, r_pct: float, rng: RngStream):
     n_stretch = 1 if w == 1 else int(np.ceil(w / 2))
     stretch_idx = set(rng.generator.choice(n_seg, size=n_stretch, replace=False).tolist())
 
-    factor = 1.0 + r_pct / 100.0
+    factor = 1.0 + p["r_pct"] / 100.0
     stretched_total = sum(lengths[i] * factor for i in stretch_idx)
     squeezed_len = sum(lengths[i] for i in range(n_seg) if i not in stretch_idx)
     q = (n - stretched_total) / squeezed_len if squeezed_len else 1.0
@@ -187,46 +165,44 @@ COMBINATION_POOL = (
 )
 
 
-def combine(x, rng: RngStream):
+def _combine(x, p, rng):
     """Apply four distinct augmentations drawn without replacement, in order."""
-    x = _arr(x)
     picks = rng.generator.choice(len(COMBINATION_POOL), size=4, replace=False)
     for i in picks:
         kind, params = COMBINATION_POOL[i]
-        x = _RECIPES[kind][1](x, params, rng)
+        x = _RECIPES[kind].apply(x, params, rng)
     return x
 
 
-# kind -> (check of its parameters, application); a check raises KeyError
-# for a missing parameter
+class _Recipe(NamedTuple):
+    names: tuple  # of its parameters
+    check: Callable  # of their values, each a finite real number
+    apply: Callable
+
+
 _RECIPES = {
-    "GaussianNoise": (
-        lambda p: p["sigma"] > 0,
-        lambda x, p, rng: gaussian_noise(x, p["sigma"], rng),
+    "GaussianNoise": _Recipe(("sigma",), lambda p: p["sigma"] > 0, _gaussian_noise),
+    "ChannelScaling": _Recipe(("a", "b"), lambda p: 0 < p["a"] <= p["b"], _channel_scale),
+    "Negation": _Recipe((), lambda p: True, _negate),
+    "BaselineWander": _Recipe(
+        ("f_w", "s_bw"), lambda p: p["f_w"] > 0 and p["s_bw"] >= 0, _baseline_wander
     ),
-    "ChannelScaling": (
-        lambda p: 0 < p["a"] <= p["b"],
-        lambda x, p, rng: channel_scale(x, p["a"], p["b"], rng),
+    "EmgNoise": _Recipe(("sigma",), lambda p: p["sigma"] > 0, _emg_noise),
+    "Masking": _Recipe(
+        ("a_pct", "b_pct"), lambda p: 0 <= p["a_pct"] <= p["b_pct"] <= 100, _mask
     ),
-    "Negation": (lambda p: True, lambda x, p, rng: negate(x)),
-    "BaselineWander": (
-        lambda p: p["s_bw"] >= 0 and p["f_w"] > 0,
-        lambda x, p, rng: baseline_wander(x, p["f_w"], p["s_bw"], rng),
-    ),
-    "EmgNoise": (
-        lambda p: p["sigma"] > 0,
-        lambda x, p, rng: emg_noise(x, p["sigma"], rng),
-    ),
-    "Masking": (
-        lambda p: 0 <= p["a_pct"] <= p["b_pct"] <= 100,
-        lambda x, p, rng: mask(x, p["a_pct"], p["b_pct"], rng),
-    ),
-    "TimeWarping": (
+    "TimeWarping": _Recipe(
+        ("w", "r_pct"),
         lambda p: p["w"] >= 1 and int(p["w"]) == p["w"] and p["r_pct"] > 0,
-        lambda x, p, rng: time_warp(x, int(p["w"]), p["r_pct"], rng),
+        _time_warp,
     ),
-    "Combination": (lambda p: True, lambda x, p, rng: combine(x, rng)),
+    "Combination": _Recipe((), lambda p: True, _combine),
 }
+
+
+def _finite_real(v) -> bool:
+    # abs(v) <= max also rejects NaN, and compares a huge int exactly
+    return isinstance(v, numbers.Real) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
 
 
 @dataclass(frozen=True)
@@ -239,14 +215,39 @@ class AugmentationSpec:
     def __post_init__(self):
         if self.kind not in _RECIPES:
             raise ValueError(f"unknown augmentation kind {self.kind!r}")
-        try:
-            ok = _RECIPES[self.kind][0](self.params)
-        except KeyError as e:
-            raise ValueError(f"missing parameter {e} for {self.kind}") from None
-        if not ok:
+        names, check, _ = _RECIPES[self.kind]
+        if set(self.params) != set(names):
+            raise ValueError(
+                f"{self.kind} takes parameters {list(names)}, got {list(self.params)}"
+            )
+        for name in names:
+            if not _finite_real(self.params[name]):
+                raise ValueError(
+                    f"{self.kind} parameter {name!r} must be a finite number, "
+                    f"got {self.params[name]!r}"
+                )
+        if not check(self.params):
             raise ValueError(f"invalid parameters for {self.kind}: {self.params}")
 
 
 def apply_augmentation(x, spec: AugmentationSpec, rng: RngStream):
-    return _RECIPES[spec.kind][1](_arr(x), spec.params, rng)
+    """The augmented copy of one (n_leads, window_len) window."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2:
+        raise ValueError("expected a (n_leads, window_len) array")
+    return _RECIPES[spec.kind].apply(x, spec.params, rng)
 
+
+def negate(x):
+    """The Negation recipe: every sample's sign flipped."""
+    return apply_augmentation(x, AugmentationSpec("Negation"), None)
+
+
+def mask(x, a_pct: float, b_pct: float, rng: RngStream):
+    """The Masking recipe with the given range, in percent of the window."""
+    return apply_augmentation(x, AugmentationSpec("Masking", {"a_pct": a_pct, "b_pct": b_pct}), rng)
+
+
+def time_warp(x, w: int, r_pct: float, rng: RngStream):
+    """The TimeWarping recipe with w segments and an r% stretch."""
+    return apply_augmentation(x, AugmentationSpec("TimeWarping", {"w": w, "r_pct": r_pct}), rng)

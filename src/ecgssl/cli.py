@@ -89,6 +89,16 @@ class _Config:
     # the config as read, for its hash and for which keys it sets
     raw: dict = field(default_factory=dict, init=False, repr=False)
 
+    def __post_init__(self):
+        if self.target_hz <= 0:
+            raise ValueError("target_hz must be > 0")
+        if self.window_len < 1:
+            raise ValueError("window_len must be >= 1")
+        if min(self.fractions) < 0 or abs(sum(self.fractions) - 1.0) > 1e-9:
+            raise ValueError(f"fractions must be >= 0 and sum to 1, got {list(self.fractions)}")
+        if self.resolution < 16:
+            raise ValueError("resolution must be >= 16")
+
 
 @dataclass
 class _Cohort:
@@ -96,6 +106,10 @@ class _Cohort:
 
     classes: tuple[str, ...] = signal_core.SYNTH_CLASSES
     n_subjects_per_class: int = 5
+
+    def __post_init__(self):
+        if self.n_subjects_per_class < 1:
+            raise ValueError("n_subjects_per_class must be >= 1")
 
 
 # resolved field annotations of a dataclass
@@ -197,7 +211,7 @@ def _write_manifest(out_dir: Path, command: str, config, seed, code: int, error)
 # dataset directories: records/*.esig plus labels.csv sidecar
 
 
-def _read_binary(reader, path, **kwargs):
+def _read_file(reader, path, **kwargs):
     """`reader(path)`, with a file it cannot parse as a data error."""
     try:
         return reader(path, **kwargs)
@@ -222,14 +236,14 @@ def _load_dataset(path) -> list:
         raise DataError(f"no records/ directory under {path}")
     label_map = {}
     if (path / "labels.csv").exists():
-        label_map = signal_core.read_label_sidecar(path / "labels.csv")
+        label_map = _read_file(signal_core.read_label_sidecar, path / "labels.csv")
     classes = tuple(sorted({c for names in label_map.values() for c in names}))
     records = []
     for f in sorted(rec_dir.glob("*.esig")):
         rid = f.stem
         labels = signal_core.LabelSet.from_names(classes, label_map.get(rid, []))
         records.append(
-            _read_binary(signal_core.read_record_binary, f, subject_id=rid, labels=labels)
+            _read_file(signal_core.read_record_binary, f, subject_id=rid, labels=labels)
         )
     if not records:
         raise DataError(f"no .esig records found under {rec_dir}")
@@ -284,7 +298,7 @@ def _load_run(c: _Config):
     """
     if not Path(c.checkpoint).exists():
         raise DataError(f"checkpoint not found: {c.checkpoint}")
-    params, spec = _read_binary(load_checkpoint, c.checkpoint)
+    params, spec = _read_file(load_checkpoint, c.checkpoint)
     if type(spec) is not dict or not {"dataset", *_INHERITED} <= spec.keys():
         raise DataError(
             f"checkpoint {c.checkpoint} carries no run spec; re-create it with 'ecgssl pretrain'"
@@ -333,7 +347,7 @@ def cmd_synth_gen(c: _Config, out_dir: Path, seed: int):
 def cmd_augment_preview(c: _Config, out_dir: Path, seed: int):
     if not Path(c.record).exists():
         raise DataError(f"record file not found: {c.record}")
-    record = _read_binary(signal_core.read_record_binary, c.record)
+    record = _read_file(signal_core.read_record_binary, c.record)
     leads = augment.apply_augmentation(record.leads, c.augmentation, augment.RngStream(seed))
     signal_core.write_record_csv(out_dir / "augmented.csv", replace(record, leads=leads))
 
@@ -412,6 +426,16 @@ def cmd_distshift(c: _Config, out_dir: Path, seed: int):
         np.savetxt(out_dir / name, grid.density, delimiter=",")
 
 
+def _read_metrics(path) -> dict:
+    """A metrics.json as `_emit_metrics` writes it; ValueError if it is not."""
+    m = json.loads(Path(path).read_bytes())
+    if type(m) is not dict or type(m.get("metrics")) is not dict:
+        raise ValueError("no 'metrics' object")
+    if type(m.get("per_class_f1", {})) is not dict:
+        raise ValueError("'per_class_f1' is not an object")
+    return m
+
+
 def cmd_report(c: _Config, out_dir: Path, seed: int):
     scan_dir = Path(c.scan_dir or out_dir)
     found = sorted(scan_dir.rglob("metrics.json"))
@@ -420,8 +444,7 @@ def cmd_report(c: _Config, out_dir: Path, seed: int):
     rows = []
     per_class_rows = []
     for f in found:
-        with open(f) as fh:
-            m = json.load(fh)
+        m = _read_file(_read_metrics, f)
         run = [m.get("method", ""), m.get("pretrain_dataset", ""), m.get("test_dataset", "")]
         for metric, value in sorted(m["metrics"].items()):
             if value is not None:
@@ -470,7 +493,9 @@ def main(argv=None) -> int:
         c.raw = config
         seed = args.seed if args.seed is not None else c.seed
         _need(c, needs)
-        command(c, out_dir, seed)
+        # an overflow or an invalid value is a failed run, not a warning
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            command(c, out_dir, seed)
         _write_manifest(out_dir, args.command, config, seed, EXIT_OK, None)
         return EXIT_OK
     except ConfigError as e:

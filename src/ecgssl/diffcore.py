@@ -29,6 +29,7 @@ __all__ = [
     "dense",
     "global_avg_pool",
     "l2_normalize",
+    "sigmoid",
     "bce_with_logits",
     "EncoderConfig",
     "ModelParams",
@@ -368,6 +369,13 @@ def l2_normalize(x: Tensor, axis: int = -1) -> Tensor:
     return Tensor(out_data, _parents=(x,), _backward=bwd)
 
 
+def sigmoid(z: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-z)); below z = -709, exp overflows and the value
+    saturates to 0 without a warning."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-z))
+
+
 def bce_with_logits(logits: Tensor, targets: np.ndarray) -> Tensor:
     """Mean binary cross-entropy over all elements, numerically stable."""
     t = np.asarray(targets, dtype=np.float64)
@@ -376,8 +384,7 @@ def bce_with_logits(logits: Tensor, targets: np.ndarray) -> Tensor:
     n = z.size
 
     def bwd(g):
-        sig = 1.0 / (1.0 + np.exp(-z))
-        logits._accum(g * (sig - t) / n)
+        logits._accum(g * (sigmoid(z) - t) / n)
 
     return Tensor(loss.mean(), _parents=(logits,), _backward=bwd)
 
@@ -399,8 +406,12 @@ class EncoderConfig:
     def __post_init__(self):
         if not (self.embedding_dim >= self.projection_dim >= 2):
             raise ValueError("need embedding_dim >= projection_dim >= 2")
-        for _, k, _ in self.conv_blocks:
-            if k % 2 != 1:
+        if self.n_leads < 1 or self.prediction_hidden < 1:
+            raise ValueError("n_leads and prediction_hidden must be >= 1")
+        for block in self.conv_blocks:
+            if min(block) < 1:
+                raise ValueError(f"conv block {list(block)}: channels, kernel, stride must be >= 1")
+            if block[1] % 2 != 1:
                 raise ValueError("kernel sizes must be odd")
 
 

@@ -131,6 +131,10 @@ class SyntheticEcgConfig:
             raise ValueError(f"unknown class_id {self.class_id!r}")
         if self.beats_per_record < 1:
             raise ValueError("beats_per_record must be >= 1")
+        if self.sampling_rate_hz <= 0:
+            raise ValueError("sampling_rate_hz must be > 0")
+        if self.n_leads < 1:
+            raise ValueError("n_leads must be >= 1")
 
 
 # ---------------------------------------------------------------------------
@@ -400,13 +404,19 @@ def write_label_sidecar(path, mapping):
 
 
 def read_label_sidecar(path):
+    """record id -> class names, from a `write_label_sidecar` file; raises
+    ValueError naming the line that is not a header or a (record_id,
+    classes) row."""
     out = {}
     with open(path, newline="") as f:
         r = csv.reader(f)
-        next(r)
+        if next(r, None) is None:
+            raise ValueError("line 1: no record_id,classes header")
         for row in r:
             if not row:
                 continue
+            if len(row) < 2:
+                raise ValueError(f"line {r.line_num}: expected record_id,classes, got {row!r}")
             rid, names = row[0], row[1]
             out[rid] = [n for n in names.split(";") if n]
     return out

@@ -30,6 +30,7 @@ from .diffcore import (
     init_encoder_params,
     init_head_params,
     no_grad,
+    sigmoid,
 )
 from .metrics import PredictionBatch, macro_f1
 from .ssl_objectives import (
@@ -71,11 +72,19 @@ class PretrainConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
+        _check_schedule(self)
         min_batch = _SSL[self.method][1]
         if self.batch_size < min_batch:
             raise ValueError(f"{self.method} needs batch_size >= {min_batch}")
+        for name in ("temperature", "swav_temperature", "sinkhorn_epsilon"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be > 0")
+        if not 0 <= self.ema_decay <= 1:
+            raise ValueError("ema_decay must lie in [0, 1]")
+        if self.n_prototypes < 2:
+            raise ValueError("n_prototypes must be >= 2")
+        if self.sinkhorn_iters < 1:
+            raise ValueError("sinkhorn_iters must be >= 1")
 
 
 @dataclass
@@ -88,12 +97,19 @@ class FinetuneConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.lr <= 0:
-            raise ValueError("lr must be positive")
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
+        _check_schedule(self)
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+
+
+def _check_schedule(config):
+    """The ranges of the settings `PretrainConfig` and `FinetuneConfig` share."""
+    if config.epochs < 1:
+        raise ValueError("epochs must be >= 1")
+    if config.lr <= 0:
+        raise ValueError("lr must be positive")
+    if config.weight_decay < 0:
+        raise ValueError("weight_decay must be >= 0")
 
 
 @dataclass
@@ -340,7 +356,7 @@ def finetune(
         with no_grad():
             logits = forward_head(model, Tensor(h))
             val_loss = float(bce_with_logits(logits, Y_val).data)
-        f1 = macro_f1(PredictionBatch(1.0 / (1.0 + np.exp(-logits.data)), Y_val))
+        f1 = macro_f1(PredictionBatch(sigmoid(logits.data), Y_val))
         return val_loss, f1, f1
 
     # a warm start enters the selection only if strictly better than every
@@ -367,8 +383,7 @@ def predict_scores(model: ModelParams, enc_cfg: EncoderConfig, windows):
     X, (Y, classes) = _stack(windows), _labels_matrix(windows)
     with no_grad():
         logits = forward_head(model, Tensor(encode(model, enc_cfg, X)))
-    scores = 1.0 / (1.0 + np.exp(-logits.data))
-    return PredictionBatch(scores, Y, classes)
+    return PredictionBatch(sigmoid(logits.data), Y, classes)
 
 
 def linear_eval(

@@ -1,3 +1,6 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,14 +26,19 @@ def zeros(leads=12, n=250):
     return np.zeros((leads, n))
 
 
+def aug(kind, x, seed=0, **params):
+    """`x` through the recipe `kind` with `params`, drawn from stream `seed`."""
+    return ag.apply_augmentation(x, ag.AugmentationSpec(kind, params), ag.RngStream(seed))
+
+
 class TestGaussianNoise:
     def test_degenerate_sigma(self):
         x = np.random.default_rng(0).standard_normal((2, 100))
-        out = ag.gaussian_noise(x, 1e-9, ag.RngStream(0))
+        out = aug("GaussianNoise", x, sigma=1e-9)
         assert np.max(np.abs(out - x)) < 1e-6
 
     def test_unit_sigma_std(self):
-        out = ag.gaussian_noise(zeros(), 1.0, ag.RngStream(1))
+        out = aug("GaussianNoise", zeros(), 1, sigma=1.0)
         assert 0.9 <= out.std() <= 1.1  # chi-square bound on 3000 draws
 
     def test_paper_grid_accepted(self):
@@ -39,31 +47,31 @@ class TestGaussianNoise:
 
     def test_rejects_nonpositive_sigma(self):
         with pytest.raises(ValueError):
-            ag.gaussian_noise(zeros(), 0.0, ag.RngStream(0))
+            ag.AugmentationSpec("GaussianNoise", {"sigma": 0.0})
 
 
 class TestChannelScale:
     def test_identity(self):
         x = np.random.default_rng(2).standard_normal((3, 50))
-        np.testing.assert_allclose(ag.channel_scale(x, 1.0, 1.0, ag.RngStream(0)), x)
+        np.testing.assert_allclose(aug("ChannelScaling", x, a=1.0, b=1.0), x)
 
     def test_forced_double(self):
         x = np.random.default_rng(3).standard_normal((3, 50))
         np.testing.assert_allclose(
-            ag.channel_scale(x, 2.0, 2.0, ag.RngStream(0)), 2.0 * x
+            aug("ChannelScaling", x, a=2.0, b=2.0), 2.0 * x
         )
 
     def test_ratios_within_range(self):
         x = np.ones((12, 250))
-        out = ag.channel_scale(x, 0.33, 3.0, ag.RngStream(4))
+        out = aug("ChannelScaling", x, 4, a=0.33, b=3.0)
         ratios = out / x
         assert np.all(ratios >= 0.33) and np.all(ratios <= 3.0)
 
     def test_inverse_scaling_is_identity(self):
         x = np.random.default_rng(5).standard_normal((4, 100))
         k = 3.7
-        y = ag.channel_scale(x, k, k, ag.RngStream(0))
-        back = ag.channel_scale(y, 1 / k, 1 / k, ag.RngStream(0))
+        y = aug("ChannelScaling", x, a=k, b=k)
+        back = aug("ChannelScaling", y, a=1 / k, b=1 / k)
         np.testing.assert_allclose(back, x, atol=1e-12)
 
 
@@ -85,16 +93,16 @@ class TestBaselineWander:
     def test_zero_scale_identity(self):
         x = np.random.default_rng(7).standard_normal((3, 250))
         np.testing.assert_array_equal(
-            ag.baseline_wander(x, 100.0, 0.0, ag.RngStream(0)), x
+            aug("BaselineWander", x, f_w=100.0, s_bw=0.0), x
         )
 
     def test_peak_amplitude(self):
-        out = ag.baseline_wander(zeros(1, 250), 100.0, 1.0, ag.RngStream(8))
+        out = aug("BaselineWander", zeros(1, 250), 8, f_w=100.0, s_bw=1.0)
         # >= 2 full periods of a 100-sample sine in 250 samples
         assert 0.99 <= np.max(np.abs(out)) <= 1.0
 
     def test_same_wave_on_all_leads(self):
-        out = ag.baseline_wander(zeros(12, 250), 100.0, 0.7, ag.RngStream(9))
+        out = aug("BaselineWander", zeros(12, 250), 9, f_w=100.0, s_bw=0.7)
         for lead in range(1, 12):
             np.testing.assert_array_equal(out[lead], out[0])
 
@@ -106,15 +114,15 @@ class TestBaselineWander:
 class TestEmgNoise:
     def test_degenerate_sigma(self):
         x = np.random.default_rng(10).standard_normal((2, 250))
-        out = ag.emg_noise(x, 1e-9, ag.RngStream(0))
+        out = aug("EmgNoise", x, sigma=1e-9)
         assert np.max(np.abs(out - x)) < 1e-6
 
     def test_std_after_filtering(self):
-        out = ag.emg_noise(zeros(12, 250), 0.5, ag.RngStream(11))
+        out = aug("EmgNoise", zeros(12, 250), 11, sigma=0.5)
         assert 0.45 <= out.std() <= 0.55
 
     def test_high_pass_removes_low_frequencies(self):
-        out = ag.emg_noise(zeros(1, 1024), 1.0, ag.RngStream(12))
+        out = aug("EmgNoise", zeros(1, 1024), 12, sigma=1.0)
         spec = np.abs(np.fft.rfft(out[0]))
         freqs = np.fft.rfftfreq(1024)
         low = spec[freqs < 0.14].sum()
@@ -193,14 +201,14 @@ class TestTimeWarp:
 class TestCombine:
     def test_deterministic(self):
         x = np.random.default_rng(23).standard_normal((3, 250))
-        a = ag.combine(x, ag.RngStream(77))
-        b = ag.combine(x, ag.RngStream(77))
+        a = aug("Combination", x, 77)
+        b = aug("Combination", x, 77)
         np.testing.assert_array_equal(a, b)
 
     def test_length_preserved(self):
         x = np.random.default_rng(24).standard_normal((2, 250))
         for seed in range(10):
-            assert ag.combine(x, ag.RngStream(seed)).shape == x.shape
+            assert aug("Combination", x, seed).shape == x.shape
 
     def test_pool_matches_stated_parameters(self):
         pool = dict(ag.COMBINATION_POOL)
@@ -210,6 +218,8 @@ class TestCombine:
         assert pool["EmgNoise"] == {"sigma": 0.01}
         assert pool["Masking"] == {"a_pct": 40.0, "b_pct": 50.0}
         assert pool["TimeWarping"] == {"w": 1, "r_pct": 10.0}
+        for kind, params in ag.COMBINATION_POOL:
+            ag.AugmentationSpec(kind, params)
 
 
 class TestSpecSerialization:
@@ -222,6 +232,61 @@ class TestSpecSerialization:
             ag.AugmentationSpec("Masking", {"a_pct": 60.0, "b_pct": 20.0})
         with pytest.raises(ValueError):
             ag.AugmentationSpec("Masking", {"a_pct": 10.0})
+
+    @pytest.mark.parametrize(
+        "kind,params",
+        [
+            ("GaussianNoise", {"sigma": 0.1, "sigmaa": 5}),
+            ("GaussianNoise", {}),
+            ("Negation", {"sigma": 0.1}),
+            ("Combination", {"w": 1}),
+            ("ChannelScaling", {"a": 0.5}),
+        ],
+    )
+    def test_missing_or_extra_parameter_rejected(self, kind, params):
+        with pytest.raises(ValueError, match="takes parameters"):
+            ag.AugmentationSpec(kind, params)
+
+    @pytest.mark.parametrize(
+        "value", [True, False, "3", None, [3], {"w": 3}, float("nan"), float("inf"), 10**400]
+    )
+    def test_value_that_is_not_a_finite_number_rejected(self, value):
+        with pytest.raises(ValueError, match="'w' must be a finite number"):
+            ag.AugmentationSpec("TimeWarping", {"w": value, "r_pct": 10.0})
+
+    @pytest.mark.parametrize(
+        "kind,params",
+        [
+            ("GaussianNoise", {"sigma": 0}),
+            ("ChannelScaling", {"a": 0, "b": 1}),
+            ("ChannelScaling", {"a": 2, "b": 1}),
+            ("BaselineWander", {"f_w": 0, "s_bw": 1.0}),
+            ("BaselineWander", {"f_w": 100.0, "s_bw": -0.1}),
+            ("EmgNoise", {"sigma": -1}),
+            ("Masking", {"a_pct": -1, "b_pct": 20}),
+            ("Masking", {"a_pct": 10, "b_pct": 100.5}),
+            ("TimeWarping", {"w": 0, "r_pct": 10.0}),
+            ("TimeWarping", {"w": 1.5, "r_pct": 10.0}),
+            ("TimeWarping", {"w": 3, "r_pct": 0}),
+        ],
+    )
+    def test_value_out_of_range_rejected(self, kind, params):
+        with pytest.raises(ValueError, match="invalid parameters"):
+            ag.AugmentationSpec(kind, params)
+
+    def test_integer_and_numpy_values_accepted(self):
+        x = np.random.default_rng(25).standard_normal((3, 120))
+        np.testing.assert_array_equal(
+            aug("TimeWarping", x, 4, w=np.int64(3), r_pct=np.float64(5.0)),
+            aug("TimeWarping", x, 4, w=3.0, r_pct=5),
+        )
+
+
+def test_readme_table_lists_each_recipes_parameters():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = dict(re.findall(r"^\| `(\w+)` \| (.*?) \|", text, re.M))
+    for kind, recipe in ag._RECIPES.items():
+        assert re.findall(r"`(\w+)`", rows[kind]) == list(recipe.names), kind
 
 
 ALL_SPECS = [

@@ -433,6 +433,16 @@ def lin(data, ckpt, **extra):
     return {"dataset": str(data / "cohortA"), "checkpoint": str(ckpt), **extra}
 
 
+def preview(data, kind, params):
+    rec = sorted((data / "cohortA" / "records").glob("*.esig"))[0]
+    return {"record": str(rec), "augmentation": {"kind": kind, "params": params}}
+
+
+def shift(data, ckpt, **extra):
+    return {"checkpoint": str(ckpt), "dataset_ref": str(data / "cohortA"),
+            "dataset_other": str(data / "cohortB"), **extra}
+
+
 BAD_CONFIGS = {
     "json-list": ("pretrain", lambda d, c: [1, 2], "config must be an object"),
     "augmentation-without-kind": (
@@ -481,6 +491,100 @@ BAD_CONFIGS = {
     "finetune-zero-batch": (
         "lineval", lambda d, c: lin(d, c, finetune={"batch_size": 0}), "batch_size"
     ),
+    "finetune-negative-weight-decay": (
+        "finetune", lambda d, c: lin(d, c, finetune={"weight_decay": -5}), "weight_decay"
+    ),
+    # ranges each config dataclass checks before any data are read
+    "encoder-zero-stride": (
+        "pretrain", lambda d, c: pre(d, encoder={"conv_blocks": [[4, 5, 0]]}), "[4, 5, 0]"
+    ),
+    "encoder-zero-channels": (
+        "pretrain", lambda d, c: pre(d, encoder={"conv_blocks": [[0, 5, 2]]}), "[0, 5, 2]"
+    ),
+    "encoder-negative-kernel": (
+        "pretrain", lambda d, c: pre(d, encoder={"conv_blocks": [[4, -1, 2]]}), "[4, -1, 2]"
+    ),
+    "encoder-zero-leads": (
+        "pretrain", lambda d, c: pre(d, encoder=dict(SMALL_ENCODER, n_leads=0)), "n_leads"
+    ),
+    "encoder-zero-prediction-hidden": (
+        "pretrain",
+        lambda d, c: pre(d, encoder=dict(SMALL_ENCODER, prediction_hidden=0)),
+        "prediction_hidden",
+    ),
+    "negative-lr": ("pretrain", lambda d, c: pre(d, pretrain={"lr": -1}), "lr"),
+    "negative-weight-decay": (
+        "pretrain", lambda d, c: pre(d, pretrain={"weight_decay": -5}), "weight_decay"
+    ),
+    "simclr-zero-temperature": (
+        "pretrain", lambda d, c: pre(d, pretrain={"temperature": 0}), "temperature"
+    ),
+    "byol-ema-decay-above-1": (
+        "pretrain", lambda d, c: pre(d, method="BYOL", pretrain={"ema_decay": 2}), "ema_decay"
+    ),
+    "swav-zero-temperature": (
+        "pretrain",
+        lambda d, c: pre(d, method="SwAV", pretrain={"swav_temperature": 0}),
+        "swav_temperature",
+    ),
+    "swav-one-prototype": (
+        "pretrain", lambda d, c: pre(d, method="SwAV", pretrain={"n_prototypes": 1}),
+        "n_prototypes",
+    ),
+    "swav-zero-sinkhorn-iters": (
+        "pretrain", lambda d, c: pre(d, method="SwAV", pretrain={"sinkhorn_iters": 0}),
+        "sinkhorn_iters",
+    ),
+    "swav-zero-sinkhorn-epsilon": (
+        "pretrain", lambda d, c: pre(d, method="SwAV", pretrain={"sinkhorn_epsilon": 0}),
+        "sinkhorn_epsilon",
+    ),
+    "zero-target-hz": ("pretrain", lambda d, c: pre(d, target_hz=0), "target_hz"),
+    "zero-window-len": ("pretrain", lambda d, c: pre(d, window_len=0), "window_len"),
+    "negative-fractions": (
+        "pretrain", lambda d, c: pre(d, fractions=[1.2, -0.1, -0.1]), "fractions"
+    ),
+    "fractions-sum-below-1": (
+        "pretrain", lambda d, c: pre(d, fractions=[0.5, 0.2, 0.2]), "fractions"
+    ),
+    "resolution-below-16": ("distshift", lambda d, c: shift(d, c, resolution=8), "resolution"),
+    "synth-zero-rate": (
+        "synth-gen",
+        lambda d, c: {"datasets": {"x": {"sampling_rate_hz": 0}}},
+        "sampling_rate_hz",
+    ),
+    "synth-zero-subjects": (
+        "synth-gen",
+        lambda d, c: {"datasets": {"x": {"n_subjects_per_class": 0}}},
+        "n_subjects_per_class",
+    ),
+    "synth-zero-leads": (
+        "synth-gen", lambda d, c: {"datasets": {"x": {"n_leads": 0}}}, "n_leads"
+    ),
+    # augmentation parameters, checked by AugmentationSpec alone
+    "augmentation-extra-parameter": (
+        "augment-preview",
+        lambda d, c: preview(d, "GaussianNoise", {"sigma": 0.1, "sigmaa": 5}),
+        "'sigmaa'",
+    ),
+    "augmentation-missing-parameter": (
+        "augment-preview", lambda d, c: preview(d, "Masking", {"a_pct": 10}), "'b_pct'"
+    ),
+    "augmentation-bool-segments": (
+        "augment-preview",
+        lambda d, c: preview(d, "TimeWarping", {"w": True, "r_pct": 10}),
+        "'w' must be a finite number",
+    ),
+    "augmentation-string-value": (
+        "pretrain",
+        lambda d, c: pre(d, augmentation={"kind": "EmgNoise", "params": {"sigma": "0.1"}}),
+        "'sigma' must be a finite number",
+    ),
+    "augmentation-out-of-range": (
+        "augment-preview",
+        lambda d, c: preview(d, "ChannelScaling", {"a": 2, "b": 1}),
+        "invalid parameters for ChannelScaling",
+    ),
 }
 
 
@@ -505,11 +609,7 @@ CORRUPT_FILES = {
 def corrupt_config(kind, path, data_dir):
     if kind == "esig":
         return "augment-preview", {"record": str(path)}
-    return "distshift", {
-        "checkpoint": str(path),
-        "dataset_ref": str(data_dir / "cohortA"),
-        "dataset_other": str(data_dir / "cohortB"),
-    }
+    return "distshift", shift(data_dir, path)
 
 
 @pytest.mark.parametrize("case", sorted(CORRUPT_FILES))
@@ -540,17 +640,41 @@ def test_window_longer_than_records_is_data_error(data_dir, tmp_path, capsys):
     assert code == 3 and "5000-sample windows" in line, line
 
 
-def test_truncated_record_in_dataset_is_data_error(data_dir, pretrain_dir, tmp_path, capsys):
-    cohort = tmp_path / "cohort"
-    (cohort / "records").mkdir(parents=True)
+def copy_cohort(data_dir, to: Path) -> Path:
+    (to / "records").mkdir(parents=True)
     for f in sorted((data_dir / "cohortA" / "records").glob("*.esig")):
-        (cohort / "records" / f.name).write_bytes(f.read_bytes())
-    (cohort / "labels.csv").write_bytes((data_dir / "cohortA" / "labels.csv").read_bytes())
+        (to / "records" / f.name).write_bytes(f.read_bytes())
+    (to / "labels.csv").write_bytes((data_dir / "cohortA" / "labels.csv").read_bytes())
+    return to
+
+
+def test_truncated_record_in_dataset_is_data_error(data_dir, pretrain_dir, tmp_path, capsys):
+    cohort = copy_cohort(data_dir, tmp_path / "cohort")
     victim = sorted((cohort / "records").glob("*.esig"))[3]
     victim.write_bytes(victim.read_bytes()[:-4])
     config = lin(tmp_path, pretrain_dir / "checkpoint.ckpt", dataset=str(cohort))
     code, line = run_failing("lineval", config, tmp_path, capsys)
     assert code == 3 and victim.name in line, line
+
+
+@pytest.mark.parametrize("labels", ["", "record_id,classes\nr1\n"])
+def test_corrupt_label_file_is_data_error(labels, data_dir, tmp_path, capsys):
+    cohort = copy_cohort(data_dir, tmp_path / "cohort")
+    (cohort / "labels.csv").write_text(labels)
+    code, line = run_failing("pretrain", pre(data_dir, dataset=str(cohort)), tmp_path, capsys)
+    assert code == 3 and str(cohort / "labels.csv") in line and "line " in line, line
+
+
+@pytest.mark.parametrize(
+    "content", ["{}", "not json", "[1]", '{"metrics": [0.5]}', b"\xff\xfe{",
+                '{"metrics": {}, "per_class_f1": [0.5]}']
+)
+def test_corrupt_metrics_file_is_data_error(content, tmp_path, capsys):
+    bad = tmp_path / "runs" / "x" / "metrics.json"
+    bad.parent.mkdir(parents=True)
+    bad.write_bytes(content if isinstance(content, bytes) else content.encode())
+    code, line = run_failing("report", {"scan_dir": str(tmp_path / "runs")}, tmp_path, capsys)
+    assert code == 3 and str(bad) in line, line
 
 
 class TestManifest:
@@ -630,7 +754,7 @@ def valid_configs(data, ckpt):
         },
         "augment-preview": {
             "record": str(rec), "augmentation": {"kind": "Masking",
-                                                 "params": {"a_pct": 10, "b_pct": 20}},
+                                                 "params": {"a_pct": 10.0, "b_pct": 20.0}},
         },
         "pretrain": pre(data, method="BYOL", fractions=[0.6, 0.2, 0.2],
                         augmentation={"kind": "GaussianNoise", "params": {"sigma": 0.1}},
@@ -644,12 +768,11 @@ def valid_configs(data, ckpt):
 
 
 def paths_of(obj, at=()):
-    """Every (path, value) below obj, not entering augmentation params,
-    whose keys belong to the recipe rather than to the schema."""
+    """Every (path, value) below obj."""
     items = obj.items() if isinstance(obj, dict) else enumerate(obj)
     for key, value in items:
         yield at + (key,), value
-        if isinstance(value, (dict, list)) and key != "params":
+        if isinstance(value, (dict, list)):
             yield from paths_of(value, at + (key,))
 
 
@@ -665,28 +788,35 @@ def wrong_types(value):
 
 
 def mutate(config, data, command):
-    """A copy of `config` with one thing wrong, drawn from `data`."""
+    """(a copy of `config` with one thing changed, drawn from `data`, and
+    the kind of change). Every change but a "range" one makes it wrong."""
     config = json.loads(json.dumps(config))
-    kind = data.draw(st.sampled_from(["type", "key", "missing", "object"]), label="kind")
+    kind = data.draw(st.sampled_from(["type", "key", "missing", "object", "range"]),
+                     label="kind")
     if kind == "missing":
         needs = list(cli._COMMANDS[command][1])
         if "augmentation" in config:
             needs.append(("augmentation", "kind"))
+            needs += [("augmentation", "params", k) for k in config["augmentation"]["params"]]
         key = data.draw(st.sampled_from(needs), label="missing")
         at, key = ((), key) if isinstance(key, str) else (key[:-1], key[-1])
         parent = config
         for k in at:
             parent = parent[k]
         del parent[key]
-        return config
-    if kind == "object":
+        return config, kind
+    if kind == "range":
+        numbers = [p for p, v in paths_of(config) if type(v) in (int, float)]
+        at = data.draw(st.sampled_from(numbers), label="number")
+        value = data.draw(st.sampled_from([0, -1, 1e300]), label="value")
+    elif kind == "object":
         objects = [()] + [p for p, v in paths_of(config) if isinstance(v, dict)]
         at = data.draw(st.sampled_from(objects), label="object")
         value = data.draw(st.sampled_from([v for v in JSON_SAMPLES if type(v) is not dict]))
     else:
         paths = list(paths_of(config))
         if kind == "key":
-            objects = [()] + [p for p, v in paths if isinstance(v, dict) and p[-1] != "params"]
+            objects = [()] + [p for p, v in paths if isinstance(v, dict)]
             parent_at = data.draw(st.sampled_from(objects), label="object")
             parent = config
             for k in parent_at:
@@ -700,12 +830,12 @@ def mutate(config, data, command):
             at, old = data.draw(st.sampled_from(paths), label="path")
             value = data.draw(st.sampled_from(wrong_types(old)), label="value")
     if not at:
-        return value
+        return value, kind
     parent = config
     for k in at[:-1]:
         parent = parent[k]
     parent[at[-1]] = value
-    return config
+    return config, kind
 
 
 def run_quietly(command, config_path, out_dir):
@@ -721,13 +851,17 @@ def run_quietly(command, config_path, out_dir):
        data=st.data())
 def test_fuzz_mutated_configs_fail_with_one_line(command, data, data_dir, pretrain_dir):
     base = valid_configs(data_dir, pretrain_dir / "checkpoint.ckpt")
-    config = mutate(base["finetune" if command == "lineval" else command], data, command)
+    config, kind = mutate(base["finetune" if command == "lineval" else command], data, command)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "cfg.json"
         path.write_text(json.dumps(config))
         code, lines = run_quietly(command, path, Path(tmp) / "out")
-    assert code in (2, 3, 4), (config, lines)
-    assert len(lines) == 1 and "Traceback" not in lines[0], lines
+    # a number moved within its range may still make a valid config
+    assert code in ((0, 2, 3, 4) if kind == "range" else (2, 3, 4)), (config, lines)
+    if code == 0:
+        assert lines == [], lines
+    else:
+        assert len(lines) == 1 and "Traceback" not in lines[0], lines
 
 
 def test_fuzz_valid_configs_pass(data_dir, pretrain_dir, tmp_path):

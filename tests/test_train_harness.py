@@ -188,8 +188,6 @@ class TestFinetune:
         for n in model.names():
             np.testing.assert_array_equal(model[n].data, model2[n].data)
 
-    # the destroyed logits overflow exp() in the sigmoid, which saturates
-    @pytest.mark.filterwarnings("ignore:overflow encountered in exp")
     def test_warm_start_kept_when_training_only_degrades(self):
         cfg = tiny_cfg()
         split = make_split(np.random.default_rng(5), n_train=40)
