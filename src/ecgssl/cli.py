@@ -90,8 +90,9 @@ class _Config:
     raw: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
-        if self.target_hz <= 0:
-            raise ValueError("target_hz must be > 0")
+        # the paper's cohorts are 400-500 Hz; the resampling kernel grows with the rate
+        if not 0 < self.target_hz <= 10_000:
+            raise ValueError("target_hz must be > 0 and <= 10000")
         if self.window_len < 1:
             raise ValueError("window_len must be >= 1")
         if min(self.fractions) < 0 or abs(sum(self.fractions) - 1.0) > 1e-9:
@@ -108,6 +109,8 @@ class _Cohort:
     n_subjects_per_class: int = 5
 
     def __post_init__(self):
+        if not self.classes:
+            raise ValueError("classes must name at least one class")
         if self.n_subjects_per_class < 1:
             raise ValueError("n_subjects_per_class must be >= 1")
 

@@ -165,9 +165,8 @@ def _batches(order, size, min_size=1):
 
 
 def _make_view_batches(X, idx, spec, rng: RngStream):
-    v1 = np.stack([apply_augmentation(X[i], spec, rng) for i in idx])
-    v2 = np.stack([apply_augmentation(X[i], spec, rng) for i in idx])
-    return v1, v2
+    batch = X[idx]
+    return apply_augmentation(batch, spec, rng), apply_augmentation(batch, spec, rng)
 
 
 # ---------------------------------------------------------------------------

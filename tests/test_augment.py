@@ -310,3 +310,33 @@ def test_property_shape_preserved_and_deterministic(spec_idx, seed, leads, n):
     b = ag.apply_augmentation(x, spec, ag.RngStream(seed))
     assert a.shape == x.shape
     np.testing.assert_array_equal(a, b)
+
+
+BATCH_SPECS = ALL_SPECS + [
+    ag.AugmentationSpec("ChannelScaling", {"a": 1.0, "b": 1.0}),
+    ag.AugmentationSpec("BaselineWander", {"f_w": 7.5, "s_bw": 0.0}),
+    ag.AugmentationSpec("Masking", {"a_pct": 0.0, "b_pct": 0.0}),
+    ag.AugmentationSpec("Masking", {"a_pct": 100.0, "b_pct": 100.0}),
+    ag.AugmentationSpec("TimeWarping", {"w": 5, "r_pct": 20.0}),
+    ag.AugmentationSpec("TimeWarping", {"w": 2, "r_pct": 50.0}),
+]
+
+
+@pytest.mark.parametrize("batch", [1, 7, 32])
+@pytest.mark.parametrize("leads", [1, 12])
+@pytest.mark.parametrize("spec", BATCH_SPECS, ids=lambda s: f"{s.kind}{sorted(s.params.values())}")
+def test_batch_equals_its_windows_one_by_one(spec, leads, batch):
+    for seed in (0, 5, 2**32 - 1):
+        X = np.random.default_rng(seed).standard_normal((batch, leads, 37))
+        X[0, 0, :3] = -0.0
+        one, whole = ag.RngStream(seed), ag.RngStream(seed)
+        expect = np.stack([ag.apply_augmentation(x, spec, one) for x in X])
+        got = ag.apply_augmentation(X, spec, whole)
+        assert got.shape == X.shape and got.dtype == np.float64
+        assert got.tobytes() == expect.tobytes()
+        assert whole.generator.bit_generator.state == one.generator.bit_generator.state
+
+
+def test_batch_too_short_for_time_warp_rejected():
+    with pytest.raises(ValueError, match="window too short"):
+        ag.time_warp(np.ones((4, 2, 5)), 3, 10.0, ag.RngStream(0))

@@ -540,6 +540,8 @@ BAD_CONFIGS = {
         "sinkhorn_epsilon",
     ),
     "zero-target-hz": ("pretrain", lambda d, c: pre(d, target_hz=0), "target_hz"),
+    "target-hz-above-10-khz": ("pretrain", lambda d, c: pre(d, target_hz=1e5), "target_hz"),
+    "target-hz-1e300": ("pretrain", lambda d, c: pre(d, target_hz=1e300), "target_hz"),
     "zero-window-len": ("pretrain", lambda d, c: pre(d, window_len=0), "window_len"),
     "negative-fractions": (
         "pretrain", lambda d, c: pre(d, fractions=[1.2, -0.1, -0.1]), "fractions"
@@ -552,6 +554,9 @@ BAD_CONFIGS = {
         "synth-gen",
         lambda d, c: {"datasets": {"x": {"sampling_rate_hz": 0}}},
         "sampling_rate_hz",
+    ),
+    "synth-no-classes": (
+        "synth-gen", lambda d, c: {"datasets": {"e": {"classes": []}}}, "classes"
     ),
     "synth-zero-subjects": (
         "synth-gen",
@@ -762,6 +767,9 @@ def valid_configs(data, ckpt):
                         pretrain={"epochs": 1, "batch_size": 8, "lr": 0.001}),
         "finetune": lin(data, ckpt, fractions=[0.6, 0.2, 0.2],
                         finetune={"epochs": 1, "batch_size": 8, "freeze_encoder": False}),
+        # lineval sets finetune.freeze_encoder itself
+        "lineval": lin(data, ckpt, fractions=[0.6, 0.2, 0.2],
+                       finetune={"epochs": 1, "batch_size": 8, "lr": 0.01}),
         "distshift": {"checkpoint": str(ckpt), "dataset_ref": str(data / "cohortA"),
                       "dataset_other": str(data / "cohortB"), "resolution": 32},
     }
@@ -851,7 +859,7 @@ def run_quietly(command, config_path, out_dir):
        data=st.data())
 def test_fuzz_mutated_configs_fail_with_one_line(command, data, data_dir, pretrain_dir):
     base = valid_configs(data_dir, pretrain_dir / "checkpoint.ckpt")
-    config, kind = mutate(base["finetune" if command == "lineval" else command], data, command)
+    config, kind = mutate(base[command], data, command)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "cfg.json"
         path.write_text(json.dumps(config))
