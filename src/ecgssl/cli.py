@@ -90,9 +90,9 @@ class _Config:
     raw: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
-        # the paper's cohorts are 400-500 Hz; the resampling kernel grows with the rate
-        if not 0 < self.target_hz <= 10_000:
-            raise ValueError("target_hz must be > 0 and <= 10000")
+        # resampling time and memory grow with the output rate
+        if not 0 < self.target_hz <= signal_core.MAX_RATE_HZ:
+            raise ValueError(f"target_hz must be > 0 and <= {signal_core.MAX_RATE_HZ}")
         if self.window_len < 1:
             raise ValueError("window_len must be >= 1")
         if min(self.fractions) < 0 or abs(sum(self.fractions) - 1.0) > 1e-9:
@@ -271,10 +271,16 @@ def _load_windows(dataset_path, spec: dict, fractions=None, seed: int = 0):
                 f"the checkpoint's encoder takes {leads} leads"
             )
     target_hz = spec["target_hz"]
-    records = [
-        signal_core.resample(r, target_hz) if r.sampling_rate_hz != target_hz else r
-        for r in records
-    ]
+
+    def at_target(r):
+        if r.sampling_rate_hz == target_hz:
+            return r
+        try:
+            return signal_core.resample(r, target_hz)
+        except ValueError as e:  # a record too short to give one sample
+            raise DataError(f"{Path(dataset_path) / 'records' / r.subject_id}.esig: {e}") from None
+
+    records = [at_target(r) for r in records]
     if fractions is None:
         split = signal_core.DatasetSplit(records, [], [])
     else:

@@ -2,17 +2,19 @@
 
 Records hold multi-lead signals in millivolts with a sampling rate. All
 operations are pure given their inputs and seed; nothing here keeps shared
-mutable state (the resampling-kernel cache holds read-only arrays).
+mutable state (the resampling-plan cache holds read-only arrays).
 """
 
 from __future__ import annotations
 
 import csv
 import functools
+import math
 import struct
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "LabelSet",
@@ -21,6 +23,7 @@ __all__ = [
     "DatasetSplit",
     "SyntheticEcgConfig",
     "SYNTH_CLASSES",
+    "MAX_RATE_HZ",
     "resample",
     "window",
     "standardize_window",
@@ -33,6 +36,11 @@ __all__ = [
     "read_label_sidecar",
     "write_label_sidecar",
 ]
+
+
+# the highest rate, in Hz, of a record file, a synthetic cohort or the CLI's
+# target_hz; the paper's cohorts are 400-500 Hz
+MAX_RATE_HZ = 10_000
 
 
 @dataclass(frozen=True)
@@ -71,8 +79,8 @@ class EcgRecord:
         self.leads = np.asarray(self.leads, dtype=np.float64)
         if self.leads.ndim != 2 or self.leads.shape[0] < 1 or self.leads.shape[1] < 1:
             raise ValueError("leads must be a non-empty (n_leads, n_samples) matrix")
-        if self.sampling_rate_hz <= 0:
-            raise ValueError("sampling_rate_hz must be positive")
+        if not 0 < self.sampling_rate_hz < np.inf:
+            raise ValueError("sampling_rate_hz must be positive and finite")
         if not np.all(np.isfinite(self.leads)):
             raise ValueError("record contains non-finite samples")
 
@@ -131,8 +139,8 @@ class SyntheticEcgConfig:
             raise ValueError(f"unknown class_id {self.class_id!r}")
         if self.beats_per_record < 1:
             raise ValueError("beats_per_record must be >= 1")
-        if self.sampling_rate_hz <= 0:
-            raise ValueError("sampling_rate_hz must be > 0")
+        if not 0 < self.sampling_rate_hz <= MAX_RATE_HZ:
+            raise ValueError(f"sampling_rate_hz must be > 0 and <= {MAX_RATE_HZ}")
         if self.n_leads < 1:
             raise ValueError("n_leads must be >= 1")
 
@@ -155,29 +163,39 @@ def _kaiser(tau, half_width):
 
 
 @functools.lru_cache(maxsize=8)
-def _resample_kernel(fs_in: float, target_hz: float, n_in: int):
-    """Tap indices and weights, both (n_out, 2*half), of `resample`.
+def _resample_plan(fs_in: float, target_hz: float, n_out: int):
+    """Polyphase plan of `resample`: (p, q, starts, rows).
 
-    They depend only on the two rates and the length, so a cohort of
-    equal-length records builds them once. Cached, hence read-only.
+    With fs_in / target_hz = p / q in lowest terms, output sample
+    m = q*j + r sits at input instant j*p + r*p/q. Its 2*half taps start at
+    j*p + floor(r*p/q) - half + 1, and its kernel row depends only on the
+    phase r (Crochiere & Rabiner, Multirate Digital Signal Processing,
+    1983). In the leads zero-padded by `half`, phase r's first taps start
+    at `starts[r]` and are weighted by `rows[r]`. There are min(q, n_out)
+    phases. The plan depends only on the two rates and the output length,
+    so a cohort of equal-length records builds it once. Cached, hence
+    read-only.
     """
-    n_out = int(round(n_in * target_hz / fs_in))
+    # p / q exactly; fractions.Fraction would also import decimal, which
+    # costs every CLI process ~6 ms
+    a, b = float(fs_in).as_integer_ratio()
+    d, e = float(target_hz).as_integer_ratio()
+    g = math.gcd(a * e, b * d)
+    p, q = a * e // g, b * d // g
     # cutoff as a fraction of the input rate
     c = min(1.0, target_hz / fs_in)
     half = int(np.ceil(_SINC_LOBES / c))
-
-    centers = np.arange(n_out) * fs_in / target_hz  # in input-sample units
-    base = np.floor(centers).astype(int) - half + 1
-    taps = np.arange(2 * half)
-    idx = base[:, None] + taps[None, :]  # (n_out, 2*half)
-    tau = idx - centers[:, None]
-    kernel = c * np.sinc(c * tau) * _kaiser(tau, half)
-    valid = (idx >= 0) & (idx < n_in)
-    kernel = kernel * valid
-    idx = np.clip(idx, 0, n_in - 1)
-    idx.flags.writeable = False
-    kernel.flags.writeable = False
-    return idx, kernel
+    # phase r's centre as r * fs_in / target_hz in floats: where float
+    # arithmetic puts it on a sample, the window's last tap stays at zero
+    # (the Kaiser window drops from 1/I0(beta) to 0 at its edge)
+    centers = np.arange(min(q, n_out)) * fs_in / target_hz
+    floors = np.floor(centers)
+    starts = floors.astype(int) + 1
+    tau = np.arange(1 - half, half + 1)[None, :] - (centers - floors)[:, None]
+    rows = c * np.sinc(c * tau) * _kaiser(tau, half)
+    starts.flags.writeable = False
+    rows.flags.writeable = False
+    return p, q, starts, rows
 
 
 def resample(record: EcgRecord, target_hz: float) -> EcgRecord:
@@ -185,22 +203,30 @@ def resample(record: EcgRecord, target_hz: float) -> EcgRecord:
 
     The kernel cutoff is the lower Nyquist of the two rates, so downsampling
     applies the anti-alias low-pass and upsampling reconstructs the
-    band-limited signal at the new instants.
+    band-limited signal at the new instants. Raises ValueError for a target
+    rate that is not positive and finite, or a record too short to give
+    one output sample.
     """
-    if target_hz <= 0:
-        raise ValueError("target_hz must be positive")
-    if target_hz == record.sampling_rate_hz:
-        return EcgRecord(
-            record.subject_id,
-            record.leads.copy(),
-            record.sampling_rate_hz,
-            record.labels,
-        )
+    if not 0 < target_hz < np.inf:
+        raise ValueError("target_hz must be positive and finite")
+    fs_in = record.sampling_rate_hz
+    if target_hz == fs_in:
+        return EcgRecord(record.subject_id, record.leads.copy(), fs_in, record.labels)
 
-    idx, kernel = _resample_kernel(
-        record.sampling_rate_hz, target_hz, record.n_samples
-    )
-    out = np.einsum("cmt,mt->cm", record.leads[:, idx], kernel)
+    n_out = int(round(record.n_samples * target_hz / fs_in))
+    if n_out < 1:
+        raise ValueError(
+            f"{record.n_samples} samples at {fs_in:g} Hz give no sample at {target_hz:g} Hz"
+        )
+    p, q, starts, rows = _resample_plan(fs_in, target_hz, n_out)
+    half = rows.shape[1] // 2
+    padded = np.pad(record.leads, ((0, 0), (half, half)))
+    taps = sliding_window_view(padded, 2 * half, axis=1)
+    out = np.empty((record.n_leads, n_out))
+    for r, (start, row) in enumerate(zip(starts, rows)):
+        n = len(range(r, n_out, q))
+        np.einsum("cmt,t->cm", taps[:, start : start + p * (n - 1) + 1 : p], row,
+                  out=out[:, r::q])
     return EcgRecord(record.subject_id, out, float(target_hz), record.labels)
 
 
@@ -380,6 +406,8 @@ def read_record_binary(path, subject_id=None, labels=None) -> EcgRecord:
     version, n_leads, n_samples, rate = struct.unpack_from("<IIQd", blob, 4)
     if version != _ESIG_VERSION:
         raise ValueError(f"unsupported ESIG version {version}")
+    if not 0 < rate <= MAX_RATE_HZ:
+        raise ValueError(f"ESIG sampling rate {rate!r} Hz is not > 0 and <= {MAX_RATE_HZ}")
     size = len(blob) - 4 - header
     if size != 4 * n_leads * n_samples:
         raise ValueError(

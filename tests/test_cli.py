@@ -662,6 +662,25 @@ def test_truncated_record_in_dataset_is_data_error(data_dir, pretrain_dir, tmp_p
     assert code == 3 and victim.name in line, line
 
 
+def test_record_too_short_to_resample_is_data_error(data_dir, tmp_path, capsys):
+    cohort = copy_cohort(data_dir, tmp_path / "cohort")
+    short = signal_core.EcgRecord("short", np.ones((1, 2)), 500.0, signal_core.LabelSet((), ()))
+    signal_core.write_record_binary(cohort / "records" / "short.esig", short)
+    code, line = run_failing("pretrain", pre(data_dir, dataset=str(cohort)), tmp_path, capsys)
+    assert code == 3 and "short.esig: 2 samples at 500 Hz give no sample" in line, line
+
+
+@pytest.mark.parametrize("rate", [1e300, float("nan"), float("inf"), 0.0, 20_000.0])
+def test_bad_record_rate_is_data_error(rate, data_dir, tmp_path, capsys):
+    cohort = copy_cohort(data_dir, tmp_path / "cohort")
+    victim = sorted((cohort / "records").glob("*.esig"))[3]
+    blob = bytearray(victim.read_bytes())
+    struct.pack_into("<d", blob, 20, rate)  # after the magic, version, leads and samples
+    victim.write_bytes(blob)
+    code, line = run_failing("pretrain", pre(data_dir, dataset=str(cohort)), tmp_path, capsys)
+    assert code == 3 and str(victim) in line and "sampling rate" in line, line
+
+
 @pytest.mark.parametrize("labels", ["", "record_id,classes\nr1\n"])
 def test_corrupt_label_file_is_data_error(labels, data_dir, tmp_path, capsys):
     cohort = copy_cohort(data_dir, tmp_path / "cohort")

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -17,9 +19,47 @@ class TestRecordValidation:
         with pytest.raises(ValueError):
             make_record([[1.0, 2.0]], rate=0.0)
 
+    @pytest.mark.parametrize("rate", [np.nan, np.inf])
+    def test_rejects_nonfinite_rate(self, rate):
+        with pytest.raises(ValueError, match="sampling_rate_hz"):
+            make_record([[1.0, 2.0]], rate=rate)
+
     def test_labelset_length_mismatch(self):
         with pytest.raises(ValueError):
             sc.LabelSet(("a", "b"), (1,))
+
+
+# (input rate, target rate): integer and non-integer ratios, downsampling and
+# upsampling, and 333.3 Hz, whose ratio to 100 Hz needs one phase per output
+REFERENCE_RATES = [(fs, 100.0) for fs in (500.0, 400.0, 360.0, 257.0, 250.0, 128.0)] + [
+    (100.0, 250.0),
+    (333.3, 100.0),
+]
+
+
+def direct_resample(leads, fs_in, target_hz, exact_centres=False):
+    """The direct form that `resample` replaced: gather 2*half taps per
+    output sample, then one einsum with a per-sample kernel."""
+    n_in = leads.shape[1]
+    n_out = int(round(n_in * target_hz / fs_in))
+    c = min(1.0, target_hz / fs_in)
+    half = int(np.ceil(sc._SINC_LOBES / c))
+    if exact_centres:
+        ratio = Fraction(fs_in) / Fraction(target_hz)
+        centers = [m * ratio for m in range(n_out)]
+        floors = np.array([int(x) for x in centers])
+        frac = np.array([float(x - int(x)) for x in centers])
+        idx = floors[:, None] - half + 1 + np.arange(2 * half)[None, :]
+        tau = np.arange(1 - half, half + 1)[None, :] - frac[:, None]
+    else:
+        centers = np.arange(n_out) * fs_in / target_hz  # in input-sample units
+        base = np.floor(centers).astype(int) - half + 1
+        idx = base[:, None] + np.arange(2 * half)[None, :]  # (n_out, 2*half)
+        tau = idx - centers[:, None]
+    kernel = c * np.sinc(c * tau) * sc._kaiser(tau, half)
+    kernel = kernel * ((idx >= 0) & (idx < n_in))
+    idx = np.clip(idx, 0, n_in - 1)
+    return np.einsum("cmt,mt->cm", leads[:, idx], kernel)
 
 
 class TestResample:
@@ -63,18 +103,65 @@ class TestResample:
             sc.resample(rec, -5.0)
 
     def test_kernel_cached_read_only(self):
-        idx, kernel = sc._resample_kernel(500.0, 100.0, 5000)
-        assert not idx.flags.writeable and not kernel.flags.writeable
+        p, q, starts, rows = sc._resample_plan(257.0, 100.0, 1946)
+        assert (p, q) == (257, 100) and rows.shape == (100, 2 * 83)
+        assert not starts.flags.writeable and not rows.flags.writeable
         with pytest.raises(ValueError):
-            kernel[0, 0] = 1.0
+            rows[0, 0] = 1.0
 
     def test_cached_equals_uncached(self):
         rec = make_record(np.random.default_rng(3).standard_normal((12, 5000)), 500.0)
-        sc._resample_kernel.cache_clear()
+        sc._resample_plan.cache_clear()
         uncached = sc.resample(rec, 100.0)
         cached = sc.resample(rec, 100.0)
-        assert sc._resample_kernel.cache_info().hits == 1
+        assert sc._resample_plan.cache_info().hits == 1
         assert np.array_equal(uncached.leads, cached.leads)
+
+    @pytest.mark.parametrize("fs_in, target", REFERENCE_RATES)
+    @pytest.mark.parametrize("n_leads", [1, 2, 12])
+    def test_matches_direct_form(self, fs_in, target, n_leads):
+        # 7 samples is shorter than every kernel; upsampling gives no
+        # single-output length
+        lengths = [n for n in range(1, 10) if round(n * target / fs_in) == 1]
+        rng = np.random.default_rng(n_leads)
+        for n in lengths[:1] + [7, 1234, 5003]:
+            rec = make_record(rng.standard_normal((n_leads, n)), fs_in)
+            ref = direct_resample(rec.leads, fs_in, target)
+            out = sc.resample(rec, target).leads
+            assert out.shape == ref.shape
+            assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref)), (n, out - ref)
+
+    @pytest.mark.parametrize("fs_in, target", [(128.0, 100.0), (100.0, 250.0)])
+    def test_long_record_matches_exact_centres(self, fs_in, target):
+        # the direct form's float centres m * fs_in / target drift with m
+        # (2e-12 relative by 20000 samples here); the polyphase centres are
+        # j * p plus a phase's offset and do not
+        rec = make_record(np.random.default_rng(4).standard_normal((2, 20000)), fs_in)
+        ref = direct_resample(rec.leads, fs_in, target, exact_centres=True)
+        out = sc.resample(rec, target).leads
+        assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("fs_in, target, n", [(1000.1, 0.3, 5000), (0.01, 100.3, 2)])
+    def test_ratio_terms_beyond_index_range(self, fs_in, target, n):
+        # p (first case) or q (second) of the reduced rate ratio exceeds
+        # 2**63; a slice clamps such a step
+        rec = make_record(np.random.default_rng(5).standard_normal((2, n)), fs_in)
+        ref = direct_resample(rec.leads, fs_in, target)
+        out = sc.resample(rec, target).leads
+        assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_no_output_sample_raises(self):
+        cases = [(fs_in, target, n) for fs_in, target in REFERENCE_RATES
+                 for n in range(1, 10) if round(n * target / fs_in) == 0]
+        assert {fs_in for fs_in, _, _ in cases} == {500.0, 400.0, 360.0, 257.0, 250.0, 333.3}
+        for fs_in, target, n in cases:
+            with pytest.raises(ValueError, match=f"{n} samples at {fs_in:g} Hz give no sample"):
+                sc.resample(make_record(np.ones((2, n)), fs_in), target)
+
+    @pytest.mark.parametrize("target", [np.nan, np.inf])
+    def test_rejects_nonfinite_target(self, target):
+        with pytest.raises(ValueError, match="target_hz"):
+            sc.resample(make_record([[1.0, 2.0, 3.0]]), target)
 
 
 class TestWindow:
