@@ -277,7 +277,7 @@ def _load_windows(dataset_path, spec: dict, fractions=None, seed: int = 0):
             return r
         try:
             return signal_core.resample(r, target_hz)
-        except ValueError as e:  # a record too short to give one sample
+        except ValueError as e:  # a record too short, or its rate too low
             raise DataError(f"{Path(dataset_path) / 'records' / r.subject_id}.esig: {e}") from None
 
     records = [at_target(r) for r in records]

@@ -326,7 +326,8 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1) -> Tensor:
     xp[:, pad : pad + L] = x.data.transpose(0, 2, 1)
 
     w2 = w.data.transpose(0, 2, 1).reshape(c_out, k * c_in)
-    out = _im2col(xp, k, stride) @ w2.T + b.data
+    out = _im2col(xp, k, stride) @ w2.T
+    out += b.data
     out = out.reshape(B, out_len, c_out).transpose(0, 2, 1)
 
     def bwd(g):
@@ -334,6 +335,8 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1) -> Tensor:
         gw = g2.T @ _im2col(xp, k, stride)
         w._accum(gw.reshape(c_out, k, c_in).transpose(0, 2, 1))
         b._accum(g2.sum(axis=0))
+        if not (x.requires_grad or x._parents):  # the data batch
+            return
         gcols = (g2 @ w2).reshape(B, out_len, k, c_in)
         gxp = np.zeros_like(xp)
         span = stride * (out_len - 1) + 1
@@ -518,20 +521,24 @@ def forward_encoder(params: ModelParams, cfg: EncoderConfig, batch) -> Tensor:
     return dense(h, params["embed.weight"], params["embed.bias"])
 
 
-# windows per forward pass in `encode`: bounds inference memory, whatever
+# most windows per forward pass in `encode`: at 32 windows of 250 samples
+# the largest im2col block of the default encoder is ~1.8 MB, so one pass
+# works within a 2 MiB L2 cache, and inference memory is bounded whatever
 # the cohort size
-ENCODE_CHUNK = 256
+ENCODE_CHUNK = 32
 
 
 def encode(params: ModelParams, cfg: EncoderConfig, batch) -> np.ndarray:
-    """`forward_encoder(params, cfg, batch).data`, built without a tape and
-    ENCODE_CHUNK windows at a time."""
+    """`forward_encoder(params, cfg, batch).data`, built without a tape in
+    ceil(n / ENCODE_CHUNK) chunks whose sizes differ by at most one, so no
+    chunk of one or two windows is left over (OpenBLAS gives such small
+    products other bytes than larger ones)."""
     batch = np.asarray(batch, dtype=np.float64)
     with no_grad():
         return np.concatenate(
             [
-                forward_encoder(params, cfg, batch[i : i + ENCODE_CHUNK]).data
-                for i in range(0, len(batch), ENCODE_CHUNK)
+                forward_encoder(params, cfg, chunk).data
+                for chunk in np.array_split(batch, -(-len(batch) // ENCODE_CHUNK))
             ]
         )
 

@@ -24,6 +24,7 @@ __all__ = [
     "SyntheticEcgConfig",
     "SYNTH_CLASSES",
     "MAX_RATE_HZ",
+    "MAX_UPSAMPLING",
     "resample",
     "window",
     "standardize_window",
@@ -41,6 +42,9 @@ __all__ = [
 # the highest rate, in Hz, of a record file, a synthetic cohort or the CLI's
 # target_hz; the paper's cohorts are 400-500 Hz
 MAX_RATE_HZ = 10_000
+# the most `resample` raises a record's rate by; it checks this before it
+# sizes the output, which grows with the ratio
+MAX_UPSAMPLING = 100
 
 
 @dataclass(frozen=True)
@@ -204,12 +208,17 @@ def resample(record: EcgRecord, target_hz: float) -> EcgRecord:
     The kernel cutoff is the lower Nyquist of the two rates, so downsampling
     applies the anti-alias low-pass and upsampling reconstructs the
     band-limited signal at the new instants. Raises ValueError for a target
-    rate that is not positive and finite, or a record too short to give
-    one output sample.
+    rate that is not positive and finite, a record rate more than
+    MAX_UPSAMPLING times below it, or a record too short to give one output
+    sample.
     """
     if not 0 < target_hz < np.inf:
         raise ValueError("target_hz must be positive and finite")
     fs_in = record.sampling_rate_hz
+    if target_hz > MAX_UPSAMPLING * fs_in:
+        raise ValueError(
+            f"sampling rate {fs_in:g} Hz is more than {MAX_UPSAMPLING} times below {target_hz:g} Hz"
+        )
     if target_hz == fs_in:
         return EcgRecord(record.subject_id, record.leads.copy(), fs_in, record.labels)
 

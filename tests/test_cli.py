@@ -670,7 +670,7 @@ def test_record_too_short_to_resample_is_data_error(data_dir, tmp_path, capsys):
     assert code == 3 and "short.esig: 2 samples at 500 Hz give no sample" in line, line
 
 
-@pytest.mark.parametrize("rate", [1e300, float("nan"), float("inf"), 0.0, 20_000.0])
+@pytest.mark.parametrize("rate", [1e300, float("nan"), float("inf"), 0.0, 20_000.0, 1e-300, 0.01])
 def test_bad_record_rate_is_data_error(rate, data_dir, tmp_path, capsys):
     cohort = copy_cohort(data_dir, tmp_path / "cohort")
     victim = sorted((cohort / "records").glob("*.esig"))[3]

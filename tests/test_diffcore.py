@@ -216,14 +216,54 @@ class TestNoGrad:
         np.testing.assert_allclose(w.grad, [2.0, 4.0])
 
 
+class TestConv1dDataInput:
+    def test_data_batch_gets_no_input_gradient(self, rng, monkeypatch):
+        x = dc.Tensor(rng.standard_normal((3, 2, 11)))  # no grad, no parents
+        w, b = t(rng.standard_normal((4, 2, 5))), t(rng.standard_normal(4))
+        accumulated = []
+        accum = dc.Tensor._accum
+        monkeypatch.setattr(dc.Tensor, "_accum", lambda self, g: (accumulated.append(self), accum(self, g)))
+        (dc.conv1d(x, w, b, 2) * 1.5).sum().backward()
+        assert x.grad is None and not any(a is x for a in accumulated)
+        assert w.grad is not None and b.grad is not None
+
+    def test_parented_input_gradient_unchanged(self, rng):
+        data = rng.standard_normal((3, 2, 11))
+        w, b = t(rng.standard_normal((4, 2, 5))), t(rng.standard_normal(4))
+        r = rng.standard_normal((3, 4, 6))
+        leaf = t(data)
+        (dc.conv1d(leaf, w, b, 2) * r).sum().backward()
+        # the same input one exact op from a leaf that wants a gradient, and
+        # from one that does not: both convs see an input with parents
+        src = t(data)
+        (dc.conv1d(src * 1.0, w, b, 2) * r).sum().backward()
+        assert src.grad.tobytes() == leaf.grad.tobytes()
+        mid = dc.Tensor(data) * 1.0
+        assert not mid.requires_grad and mid._parents
+        (dc.conv1d(mid, w, b, 2) * r).sum().backward()
+        assert mid.grad.tobytes() == leaf.grad.tobytes()
+
+
+SPLIT_SIZES = [1, 2, 31, 32, 33, 48, 96, 257, 1200]
+SMALL_CFG = dc.EncoderConfig(n_leads=2, conv_blocks=((4, 5, 2), (6, 3, 2)))
+
+
 class TestEncode:
-    @pytest.mark.parametrize("n", [1, 255, 256, 257, 600])
+    @pytest.mark.parametrize("n", SPLIT_SIZES)
+    def test_balanced_chunks_of_at_most_cap(self, rng, n, monkeypatch):
+        sizes = []
+        forward = dc.forward_encoder
+        monkeypatch.setattr(dc, "forward_encoder", lambda p, c, b: (sizes.append(len(b)), forward(p, c, b))[1])
+        dc.encode(dc.init_encoder_params(SMALL_CFG, seed=4), SMALL_CFG, rng.standard_normal((n, 2, 40)))
+        assert sum(sizes) == n and len(sizes) == -(-n // dc.ENCODE_CHUNK)
+        assert max(sizes) <= dc.ENCODE_CHUNK and max(sizes) - min(sizes) <= 1
+
+    @pytest.mark.parametrize("n", sorted({*SPLIT_SIZES, 255, 256, 600}))
     def test_equals_forward_encoder(self, rng, n):
-        cfg = dc.EncoderConfig(n_leads=2, conv_blocks=((4, 5, 2), (6, 3, 2)))
-        params = dc.init_encoder_params(cfg, seed=4)
+        params = dc.init_encoder_params(SMALL_CFG, seed=4)
         x = rng.standard_normal((n, 2, 40))
-        got = dc.encode(params, cfg, x)
-        want = dc.forward_encoder(params, cfg, x).data
+        got = dc.encode(params, SMALL_CFG, x)
+        want = dc.forward_encoder(params, SMALL_CFG, x).data
         assert isinstance(got, np.ndarray) and got.shape == want.shape
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 

@@ -143,6 +143,70 @@ class TestOverlap:
         assert e0 < e1  # the shift is along axis 0
 
 
+def direct_axis_overlap_1d(points_a, points_b, axis, resolution=1024):
+    """`axis_overlap_1d` with each full resolution x n kernel built in one
+    expression: the reference for its blocked, in-place kernels."""
+    a, b = points_a[:, axis], points_b[:, axis]
+
+    def bw(x):
+        h = x.std() * len(x) ** (-0.2)
+        return h if h > 0 else 1e-6
+
+    ha, hb = bw(a), bw(b)
+    lo = min(a.min() - 3 * ha, b.min() - 3 * hb)
+    hi = max(a.max() + 3 * ha, b.max() + 3 * hb)
+    g = np.linspace(lo, hi, resolution)
+    step = g[1] - g[0]
+
+    def dens(x, h):
+        d = np.exp(-0.5 * ((g[:, None] - x[None, :]) / h) ** 2).sum(axis=1)
+        return d / (d.sum() * step)
+
+    eta = float(np.minimum(dens(a, ha), dens(b, hb)).sum() * step)
+    return min(max(eta, 0.0), 1.0)
+
+
+def direct_kde_density(points, resolution, bounds=None):
+    """`kde_2d(...).density` with the kernels built in one expression each:
+    the reference for its in-place kernels."""
+    bw = points.std(axis=0) * points.shape[0] ** (-1.0 / 6.0)
+    if bounds is None:
+        lo, hi = points.min(axis=0) - 3.0 * bw, points.max(axis=0) + 3.0 * bw
+    else:
+        lo, hi = np.asarray(bounds[0]), np.asarray(bounds[1])
+    cell = (hi - lo) / (resolution - 1)
+    bw = np.where(bw > 0, bw, np.where(cell > 0, cell, 1e-6))
+    gx = np.linspace(lo[0], hi[0], resolution)
+    gy = np.linspace(lo[1], hi[1], resolution)
+    kx = np.exp(-0.5 * ((gx[:, None] - points[None, :, 0]) / bw[0]) ** 2)
+    ky = np.exp(-0.5 * ((gy[:, None] - points[None, :, 1]) / bw[1]) ** 2)
+    density = (kx @ ky.T) / (points.shape[0] * 2.0 * np.pi * bw[0] * bw[1])
+    return density / (density.sum() * (cell[0] * cell[1]))
+
+
+class TestInPlaceKernels:
+    @pytest.mark.parametrize("n", [2, 37, 1200])
+    @pytest.mark.parametrize("resolution", [16, 64, 1000, 1024])
+    def test_axis_overlap_bytes_equal_direct_form(self, rng, n, resolution):
+        a = rng.standard_normal((n, 2)) * [2.0, 0.5]
+        b = rng.standard_normal((n + 3, 2)) + [0.7, -0.2]
+        for axis in (0, 1):
+            got = ds.axis_overlap_1d(a, b, axis, resolution)
+            assert got.hex() == direct_axis_overlap_1d(a, b, axis, resolution).hex()
+
+    @pytest.mark.parametrize("n", [2, 37, 1200])
+    @pytest.mark.parametrize("resolution", [16, 100, 256])
+    def test_kde_bytes_equal_direct_form(self, rng, n, resolution):
+        a = rng.standard_normal((n, 2)) * [2.0, 0.5]
+        b = rng.standard_normal((n, 2)) + 1.0
+        bounds = ds.shared_grid_bounds(a, b)
+        for got, want in [
+            (ds.kde_2d(a, resolution).density, direct_kde_density(a, resolution)),
+            (ds.kde_2d(b, resolution, bounds).density, direct_kde_density(b, resolution, bounds)),
+        ]:
+            assert got.tobytes() == want.tobytes()
+
+
 class TestAnalyzePair:
     def _windows(self, rng, n, offset=0.0):
         labels = LabelSet((), ())

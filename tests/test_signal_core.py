@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -141,10 +142,11 @@ class TestResample:
         out = sc.resample(rec, target).leads
         assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
 
-    @pytest.mark.parametrize("fs_in, target, n", [(1000.1, 0.3, 5000), (0.01, 100.3, 2)])
+    @pytest.mark.parametrize("fs_in, target, n", [(1000.1, 0.3, 5000)])
     def test_ratio_terms_beyond_index_range(self, fs_in, target, n):
-        # p (first case) or q (second) of the reduced rate ratio exceeds
-        # 2**63; a slice clamps such a step
+        # p of the reduced rate ratio exceeds 2**63; a slice clamps such a
+        # step. q can exceed it only when upsampling by more than 1024
+        # times, which resample refuses (below)
         rec = make_record(np.random.default_rng(5).standard_normal((2, n)), fs_in)
         ref = direct_resample(rec.leads, fs_in, target)
         out = sc.resample(rec, target).leads
@@ -157,6 +159,19 @@ class TestResample:
         for fs_in, target, n in cases:
             with pytest.raises(ValueError, match=f"{n} samples at {fs_in:g} Hz give no sample"):
                 sc.resample(make_record(np.ones((2, n)), fs_in), target)
+
+    @pytest.mark.parametrize("fs_in, target", [(1e-300, 100.0), (0.01, 100.0), (0.99, 100.0), (0.01, 100.3)])
+    def test_rate_far_below_target_rejected_before_allocation(self, fs_in, target):
+        # 5000 samples at 0.01 Hz would ask for a (12, 5e7) output at 100 Hz
+        rec = make_record(np.ones((12, 5000)), fs_in)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"sampling rate {fs_in:g} Hz is more than 100 times below {target:g} Hz"):
+                sc.resample(rec, target)
+            assert tracemalloc.get_traced_memory()[1] < 1e6
+        finally:
+            tracemalloc.stop()
+        assert sc.resample(make_record(np.ones((1, 40)), 1.0), 100.0).n_samples == 4000
 
     @pytest.mark.parametrize("target", [np.nan, np.inf])
     def test_rejects_nonfinite_target(self, target):
