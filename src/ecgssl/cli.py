@@ -27,6 +27,7 @@ import difflib
 import functools
 import hashlib
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
@@ -145,10 +146,17 @@ def _value(value, hint, name: str):
     kind, types = _TYPES[hint]
     if type(value) not in types:
         raise ConfigError(f"{name} must be {kind}, got {value!r}")
+    if hint is not float:
+        return value
+    # json.load reads NaN, Infinity and -Infinity, and numbers beyond a float
+    # as inf
     try:
-        return float(value) if hint is float else value
+        value = float(value)
     except OverflowError:
         raise ConfigError(f"{name} is out of range, got {value!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")
+    return value
 
 
 def _read(cls, obj, where: str, skip=(), **fixed):
@@ -174,7 +182,7 @@ def _read(cls, obj, where: str, skip=(), **fixed):
         kwargs[key] = _value(value, _hints(cls)[key], name)
     try:
         return cls(**kwargs)
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, OverflowError) as e:
         raise ConfigError(f"{at}: {e}") from None
 
 
@@ -513,6 +521,8 @@ def main(argv=None) -> int:
         code, error = EXIT_DATA, f"data error: {e}"
     except (ValueError, TypeError, OSError, FloatingPointError) as e:
         code, error = EXIT_RUNTIME, f"runtime error: {e}"
+    except MemoryError as e:
+        code, error = EXIT_RUNTIME, "runtime error: out of memory" + (f": {e}" if str(e) else "")
     print(error, file=sys.stderr)
     # the failure record is best effort: the directory may be what failed
     with contextlib.suppress(OSError):

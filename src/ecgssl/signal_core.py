@@ -137,8 +137,10 @@ class SyntheticEcgConfig:
     def __post_init__(self):
         if self.n_subjects < 1:
             raise ValueError("n_subjects must be >= 1")
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be >= 0")
+        if not 0 <= self.noise_sigma < math.inf:
+            raise ValueError("noise_sigma must be >= 0 and finite")
+        if not all(map(math.isfinite, self.bump_amplitudes)):
+            raise ValueError("bump_amplitudes must be finite")
         if self.class_id not in SYNTH_CLASSES:
             raise ValueError(f"unknown class_id {self.class_id!r}")
         if self.beats_per_record < 1:
@@ -147,6 +149,15 @@ class SyntheticEcgConfig:
             raise ValueError(f"sampling_rate_hz must be > 0 and <= {MAX_RATE_HZ}")
         if self.n_leads < 1:
             raise ValueError("n_leads must be >= 1")
+        if self.n_samples < 1:
+            raise ValueError(
+                f"{self.beats_per_record} beats at {self.sampling_rate_hz:g} Hz give no sample"
+            )
+
+    @property
+    def n_samples(self):
+        """Samples per record: beats_per_record normal-rate beats."""
+        return int(round(self.beats_per_record * _NORMAL_RR_S * self.sampling_rate_hz))
 
 
 # ---------------------------------------------------------------------------
@@ -329,6 +340,47 @@ _RR_FACTOR = {
 }
 # (offset_s, width_s) of the P, R, and T bumps relative to beat onset
 _BUMPS = ((0.12, 0.03), (0.24, 0.02), (0.44, 0.06))
+_OFFSETS, _WIDTHS = np.array(_BUMPS).T
+# half the support of a bump, in widths: beyond 38.6 widths exp(-z**2 / 2)
+# underflows to exactly 0.0, so a bump adds nothing to the samples outside
+_REACH = 39.0
+# beats whose bumps are evaluated at once; bounds the temporaries
+_BEAT_CHUNK = 64
+
+
+def _add_bumps(ext, grids, pad, onsets, config):
+    """Add the bumps of the beats at `onsets` (seconds) to `ext`, whose
+    element i holds sample i - pad. grids[k] holds the windows of the
+    samples' times as long as the support of bump k.
+
+    Each bump is evaluated only on its support, across all beats at once,
+    and added to each sample in (onset, bump) order, the order in which a
+    loop over the beats would add whole-record bumps. The terms skipped are
+    all 0.0, so the sums are the same to the bit.
+    """
+    fs = config.sampling_rate_hz
+    reach = _REACH * _WIDTHS * fs
+    onsets = np.array(onsets)[:, None]
+    for c in range(0, len(onsets), _BEAT_CHUNK):
+        at = onsets[c : c + _BEAT_CHUNK]
+        # (beat, bump) -> the element of ext where its support starts
+        first = np.floor((at + _OFFSETS) * fs - reach).astype(np.intp) + pad
+        rows = []
+        for (off, width), amp, grid, start in zip(_BUMPS, config.bump_amplitudes, grids, first.T):
+            # amp * exp(-0.5 * ((t - onset - off) / width) ** 2), in place
+            z = grid[start]
+            z -= at
+            z -= off
+            z /= width
+            np.square(z, out=z)
+            z *= -0.5
+            np.exp(z, out=z)
+            z *= amp
+            rows.append(zip(start.tolist(), z))
+        for beat in zip(*rows):
+            for start, bump in beat:
+                span = ext[start : start + len(bump)]
+                span += bump
 
 
 def generate_synthetic(config: SyntheticEcgConfig) -> list:
@@ -340,8 +392,17 @@ def generate_synthetic(config: SyntheticEcgConfig) -> list:
     rng = np.random.default_rng(config.seed)
     fs = config.sampling_rate_hz
     duration_s = config.beats_per_record * _NORMAL_RR_S
-    n_samples = int(round(duration_s * fs))
-    t = np.arange(n_samples) / fs
+    n_samples = config.n_samples
+    labels = LabelSet.from_names(SYNTH_CLASSES, [config.class_id])
+    # onsets lie in [0, duration_s), so no bump reaches further than `pad`
+    # samples beyond either end of the record
+    pad = int(np.ceil(max(off + _REACH * width for off, width in _BUMPS) * fs)) + 4
+    # the samples' times, as a whole-record grid gives them
+    t = np.arange(-pad, n_samples + pad) / fs
+    grids = [
+        sliding_window_view(t, int(np.ceil(2 * _REACH * width * fs)) + 2)
+        for _, width in _BUMPS
+    ]
 
     records = []
     for s in range(config.n_subjects):
@@ -357,22 +418,20 @@ def generate_synthetic(config: SyntheticEcgConfig) -> list:
                 rr = max(0.2, rr * (1.0 + 0.3 * rng.standard_normal()))
             pos += rr
 
-        signal = np.zeros(n_samples)
-        for onset in onsets:
-            for (off, width), amp in zip(_BUMPS, config.bump_amplitudes):
-                signal += amp * np.exp(-0.5 * ((t - onset - off) / width) ** 2)
-
+        ext = np.zeros(len(t))
+        _add_bumps(ext, grids, pad, onsets, config)
+        signal = ext[pad : pad + n_samples]
         lead_gain = 1.0 + 0.1 * rng.standard_normal(config.n_leads)
         leads = lead_gain[:, None] * signal[None, :]
         if config.noise_sigma > 0:
-            leads = leads + rng.normal(0.0, config.noise_sigma, size=leads.shape)
+            leads += rng.normal(0.0, config.noise_sigma, size=leads.shape)
 
         records.append(
             EcgRecord(
                 subject_id=f"synth-{config.class_id}-{config.seed}-{s}",
                 leads=leads,
                 sampling_rate_hz=fs,
-                labels=LabelSet.from_names(SYNTH_CLASSES, [config.class_id]),
+                labels=labels,
             )
         )
     return records

@@ -566,6 +566,16 @@ BAD_CONFIGS = {
     "synth-zero-leads": (
         "synth-gen", lambda d, c: {"datasets": {"x": {"n_leads": 0}}}, "n_leads"
     ),
+    "synth-beats-beyond-float": (
+        "synth-gen",
+        lambda d, c: {"datasets": {"x": {"beats_per_record": 10**400}}},
+        "datasets.x: int too large to convert to float",
+    ),
+    "synth-rate-gives-no-sample": (
+        "synth-gen",
+        lambda d, c: {"datasets": {"x": {"sampling_rate_hz": 0.01}}},
+        "datasets.x: 12 beats at 0.01 Hz give no sample",
+    ),
     # augmentation parameters, checked by AugmentationSpec alone
     "augmentation-extra-parameter": (
         "augment-preview",
@@ -600,6 +610,76 @@ def test_bad_config_exits_2_naming_the_setting(case, data_dir, pretrain_dir, tmp
     code, line = run_failing(command, config, tmp_path, capsys)
     assert code == 2, line
     assert line.startswith("config error: ") and named in line, line
+
+
+# config dataclass -> (command, its config with the field `key` of that
+# dataclass set to `value`)
+FLOAT_FIELD_PLACES = {
+    cli._Config: ("pretrain", lambda d, c, key, value: pre(d, **{key: value})),
+    th.PretrainConfig: ("pretrain", lambda d, c, key, value: pre(d, pretrain={key: value})),
+    th.FinetuneConfig: ("lineval", lambda d, c, key, value: lin(d, c, finetune={key: value})),
+    signal_core.SyntheticEcgConfig: (
+        "synth-gen", lambda d, c, key, value: {"datasets": {"x": {key: value}}}
+    ),
+}
+# the dataclasses of the config schema
+SCHEMA = (cli._Config, cli._Cohort, th.PretrainConfig, th.FinetuneConfig,
+          EncoderConfig, signal_core.SyntheticEcgConfig, AugmentationSpec)
+
+
+def float_fields(cls):
+    """(key, item count) of each float field of `cls`; the count is None
+    for a lone float."""
+    for key, hint in cli._hints(cls).items():
+        if hint is float:
+            yield key, None
+        elif get_origin(hint) is tuple and get_args(hint)[0] is float:
+            yield key, len(get_args(hint))
+
+
+def test_every_float_field_has_a_place():
+    for cls in SCHEMA:
+        assert cls in FLOAT_FIELD_PLACES or not list(float_fields(cls)), cls.__name__
+
+
+# what json.load reads for JSON's NaN, Infinity and -Infinity
+NONFINITE = {"NaN": float("nan"), "Infinity": float("inf"), "-Infinity": float("-inf")}
+
+
+@pytest.mark.parametrize("token", sorted(NONFINITE))
+@pytest.mark.parametrize("cls, key, count", [
+    pytest.param(cls, key, count, id=f"{cls.__name__}.{key}")
+    for cls in FLOAT_FIELD_PLACES for key, count in float_fields(cls)
+])
+def test_nonfinite_float_exits_2(cls, key, count, token, data_dir, pretrain_dir, tmp_path, capsys):
+    command, make = FLOAT_FIELD_PLACES[cls]
+    value = NONFINITE[token]
+    # in a list, the first item is the non-finite one
+    setting, name = (value, key) if count is None else ([value] + [0.5] * (count - 1), f"{key}[0]")
+    config = make(data_dir, pretrain_dir / "checkpoint.ckpt", key, setting)
+    assert token in json.dumps(config)
+    code, line = run_failing(command, config, tmp_path, capsys)
+    assert code == 2, line
+    assert line.startswith("config error: "), line
+    assert line.endswith(f"{name} must be a finite number, got {value!r}"), line
+
+
+def test_out_of_memory_exits_4_with_one_line(tmp_path, capsys, monkeypatch):
+    def exhausted(config):
+        # what numpy raises for an array beyond memory; nothing is allocated
+        raise MemoryError(
+            "Unable to allocate 7.15 TiB for an array with shape (100000000, 9600) "
+            "and data type float64"
+        )
+
+    monkeypatch.setattr(signal_core, "generate_synthetic", exhausted)
+    config = {"datasets": {"x": {"n_leads": 100_000_000}}}
+    code, line = run_failing("synth-gen", config, tmp_path, capsys)
+    assert code == 4, line
+    assert line.startswith("runtime error: out of memory: Unable to allocate 7.15 TiB"), line
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["status"] == "failed" and manifest["exit_code"] == 4
+    assert manifest["error"] == line
 
 
 # case -> (file kind, bytes kept)
@@ -759,14 +839,7 @@ def test_report_per_class_tells_pretraining_sets_apart(tmp_path):
 
 JSON_SAMPLES = ["x", 0, 1.5, True, None, [], {}]
 # dataclass field names anywhere in the schema: an added key must be none
-SCHEMA_KEYS = {
-    f.name
-    for cls in (
-        cli._Config, cli._Cohort, th.PretrainConfig, th.FinetuneConfig,
-        EncoderConfig, signal_core.SyntheticEcgConfig, AugmentationSpec,
-    )
-    for f in fields(cls)
-}
+SCHEMA_KEYS = {f.name for cls in SCHEMA for f in fields(cls)}
 
 
 def valid_configs(data, ckpt):
@@ -968,8 +1041,7 @@ def test_readme_configs_pass_the_reader(tmp_path):
 
 
 def test_every_schema_field_has_a_json_type():
-    for cls in (cli._Config, cli._Cohort, th.PretrainConfig, th.FinetuneConfig,
-                EncoderConfig, signal_core.SyntheticEcgConfig, AugmentationSpec):
+    for cls in SCHEMA:
         for name, hint in cli._hints(cls).items():
             while get_origin(hint) is tuple:
                 hint = get_args(hint)[0]

@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 from fractions import Fraction
 
@@ -321,6 +322,102 @@ class TestGenerateSynthetic:
             for c in sc.SYNTH_CLASSES
         }
         assert len(lens) == 1
+
+
+def reference_generate(config):
+    """The generator as it was before it evaluated bumps on their support:
+    every bump over the whole record, one beat at a time."""
+    rng = np.random.default_rng(config.seed)
+    fs = config.sampling_rate_hz
+    duration_s = config.beats_per_record * sc._NORMAL_RR_S
+    n_samples = int(round(duration_s * fs))
+    t = np.arange(n_samples) / fs
+
+    records = []
+    for s in range(config.n_subjects):
+        mean_rr = sc._NORMAL_RR_S * sc._RR_FACTOR[config.class_id]
+        # per-subject physiological variation, fixed across the record
+        mean_rr *= 1.0 + 0.05 * rng.standard_normal()
+        onsets = []
+        pos = 0.0
+        while pos < duration_s:
+            onsets.append(pos)
+            rr = mean_rr
+            if config.class_id == "irregular_interval":
+                rr = max(0.2, rr * (1.0 + 0.3 * rng.standard_normal()))
+            pos += rr
+
+        signal = np.zeros(n_samples)
+        for onset in onsets:
+            for (off, width), amp in zip(sc._BUMPS, config.bump_amplitudes):
+                signal += amp * np.exp(-0.5 * ((t - onset - off) / width) ** 2)
+
+        lead_gain = 1.0 + 0.1 * rng.standard_normal(config.n_leads)
+        leads = lead_gain[:, None] * signal[None, :]
+        if config.noise_sigma > 0:
+            leads = leads + rng.normal(0.0, config.noise_sigma, size=leads.shape)
+
+        records.append(
+            sc.EcgRecord(
+                subject_id=f"synth-{config.class_id}-{config.seed}-{s}",
+                leads=leads,
+                sampling_rate_hz=fs,
+                labels=sc.LabelSet.from_names(sc.SYNTH_CLASSES, [config.class_id]),
+            )
+        )
+    return records
+
+
+# (n_leads, bump_amplitudes, noise_sigma): default, out-of-distribution and
+# negative amplitudes, with and without noise, on 1 and 12 leads
+GENERATOR_VARIANTS = list(itertools.product(
+    (1, 12), ((0.15, 1.0, 0.3), (0.5, 0.5, 0.7), (-0.4, 1.0, 0.3)), (0.0, 0.05)
+))
+ORACLE_RATES = (5.0, 37.0, 100.0, 250.0, 400.0, 500.0, 1000.0)
+
+
+class TestGeneratorOracle:
+    @pytest.mark.parametrize("rate", ORACLE_RATES)
+    def test_byte_identical_to_whole_record_bumps(self, rate):
+        """Each rate meets every class at 1, 12 and 40 beats, and every
+        variant once, paired differently at each rate."""
+        shift = ORACLE_RATES.index(rate)
+        cases = itertools.product(sc.SYNTH_CLASSES, (1, 12, 40))
+        for i, (class_id, beats) in enumerate(cases):
+            n_leads, amplitudes, sigma = GENERATOR_VARIANTS[(i + shift) % len(GENERATOR_VARIANTS)]
+            cfg = sc.SyntheticEcgConfig(
+                n_subjects=2, beats_per_record=beats, class_id=class_id, noise_sigma=sigma,
+                sampling_rate_hz=rate, seed=100 * shift + i, n_leads=n_leads,
+                bump_amplitudes=amplitudes,
+            )
+            got, want = sc.generate_synthetic(cfg), reference_generate(cfg)
+            assert len(got) == len(want) == 2
+            for a, b in zip(got, want):
+                assert a.leads.tobytes() == b.leads.tobytes(), cfg
+                assert (a.subject_id, a.labels, a.sampling_rate_hz) == (
+                    b.subject_id, b.labels, b.sampling_rate_hz
+                )
+
+    @pytest.mark.parametrize("rate, beats", [(0.01, 12), (0.6, 1), (1e-4, 1000)])
+    def test_cohort_without_samples_rejected(self, rate, beats):
+        with pytest.raises(ValueError, match="give no sample"):
+            sc.SyntheticEcgConfig(n_subjects=1, beats_per_record=beats, sampling_rate_hz=rate)
+
+    def test_one_sample_record(self):
+        # 0.8 s at 1.25 Hz is one sample
+        cfg = sc.SyntheticEcgConfig(n_subjects=1, beats_per_record=1, sampling_rate_hz=1.25)
+        (rec,) = sc.generate_synthetic(cfg)
+        assert rec.n_samples == 1
+        assert rec.leads.tobytes() == reference_generate(cfg)[0].leads.tobytes()
+
+    @pytest.mark.parametrize("field, value", [
+        ("noise_sigma", float("nan")), ("noise_sigma", float("inf")),
+        ("bump_amplitudes", (float("nan"), 1.0, 0.3)),
+        ("bump_amplitudes", (0.15, float("-inf"), 0.3)),
+    ])
+    def test_nonfinite_setting_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be"):
+            sc.SyntheticEcgConfig(n_subjects=1, **{field: value})
 
 
 class TestIngestion:
