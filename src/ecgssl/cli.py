@@ -281,8 +281,6 @@ def _load_windows(dataset_path, spec: dict, fractions=None, seed: int = 0):
     target_hz = spec["target_hz"]
 
     def at_target(r):
-        if r.sampling_rate_hz == target_hz:
-            return r
         try:
             return signal_core.resample(r, target_hz)
         except ValueError as e:  # a record too short, or its rate too low
@@ -388,6 +386,12 @@ def cmd_finetune(c: _Config, out_dir: Path, seed: int, **fixed):
     fc = _read(train_harness.FinetuneConfig, c.finetune, "finetune", seed=seed, **fixed)
     pretrained, spec, encoder = _load_run(c)
     split = _load_windows(c.dataset, spec, c.fractions, seed)
+    if not split.test:
+        subjects = {w.source_subject for w in split.train + split.validation}
+        raise DataError(
+            f"{c.dataset} gives no test windows: fractions {list(c.fractions)} "
+            f"leave none of its {len(subjects)} subjects for testing"
+        )
     model, log = train_harness.finetune(pretrained, fc, split, encoder)
     pred = train_harness.predict_scores(model, encoder, split.test)
     _emit_metrics(out_dir, c, spec, seed, pred)

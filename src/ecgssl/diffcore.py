@@ -104,18 +104,21 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 class Tensor:
-    """An n-d array carrying a value, a gradient slot, and tape links."""
+    """An n-d array carrying a value, a gradient slot, and tape links.
+
+    An op's result is taped (keeps its parents and backward) only when a
+    gradient flows through it: some parent requires one and `no_grad` is
+    off. So `requires_grad` alone says whether a tensor takes a gradient.
+    """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad=False, _parents=(), _backward=None):
         self.data = _as_array(data)
         self.grad = None
-        if not _TAPE.recording:
+        if not (_TAPE.recording and any(p.requires_grad for p in _parents)):
             _parents, _backward = (), None
-        self.requires_grad = bool(requires_grad) or any(
-            p.requires_grad for p in _parents
-        )
+        self.requires_grad = bool(requires_grad or _parents)
         self._parents = _parents
         self._backward = _backward
 
@@ -196,7 +199,7 @@ class Tensor:
         return Tensor._lift(other) / self
 
     def _accum(self, g):
-        if not (self.requires_grad or self._parents):
+        if not self.requires_grad:
             return
         if self.grad is None:
             # a copy (`+` hands the same g to both parents), laid out like
@@ -227,11 +230,9 @@ class Tensor:
 
     def sum(self, axis=None, keepdims=False):
         def bwd(g):
-            if axis is None:
-                self._accum(np.broadcast_to(g, self.data.shape).copy())
-            else:
-                gg = g if keepdims else np.expand_dims(g, axis)
-                self._accum(np.broadcast_to(gg, self.data.shape).copy())
+            if not (axis is None or keepdims):
+                g = np.expand_dims(g, axis)
+            self._accum(np.broadcast_to(g, self.data.shape))
 
         return Tensor(
             self.data.sum(axis=axis, keepdims=keepdims),
@@ -335,7 +336,7 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1) -> Tensor:
         gw = g2.T @ _im2col(xp, k, stride)
         w._accum(gw.reshape(c_out, k, c_in).transpose(0, 2, 1))
         b._accum(g2.sum(axis=0))
-        if not (x.requires_grad or x._parents):  # the data batch
+        if not x.requires_grad:  # the data batch
             return
         gcols = (g2 @ w2).reshape(B, out_len, k, c_in)
         gxp = np.zeros_like(xp)
@@ -422,8 +423,6 @@ class ModelParams:
     """Ordered, named parameter tensors for one network."""
 
     def __init__(self, params: "OrderedDict[str, Tensor]"):
-        if len(set(params)) != len(params):
-            raise ValueError("duplicate parameter names")
         self.params = OrderedDict(params)
 
     def __getitem__(self, name) -> Tensor:
@@ -638,11 +637,9 @@ def save_checkpoint(path, params: ModelParams, spec: dict | None = None):
 
 
 def load_checkpoint(path):
-    """Returns (ModelParams, spec dict | None).
+    """Returns (ModelParams, spec dict | None) of a version 2 file.
 
-    Version 1 files (no spec; a trailing optimizer block, ignored) load with
-    ``spec = None``. Raises ValueError for a file that is not a whole
-    checkpoint.
+    Raises ValueError for a file that is not a whole version 2 checkpoint.
     """
     with open(path, "rb") as f:
         blob = f.read()
@@ -661,13 +658,10 @@ def load_checkpoint(path):
     if take(4) != _CKPT_MAGIC:
         raise ValueError("not a checkpoint file (bad magic)")
     (version,) = unpack("<I")
-    if version == 1:
-        spec = None
-    elif version == 2:
-        (spec_len,) = unpack("<I")
-        spec = json.loads(take(spec_len).decode("utf-8"))
-    else:
+    if version != _CKPT_VERSION:
         raise ValueError(f"unsupported checkpoint version {version}")
+    (spec_len,) = unpack("<I")
+    spec = json.loads(take(spec_len).decode("utf-8"))
     (n_params,) = unpack("<I")
     params = OrderedDict()
     for _ in range(n_params):

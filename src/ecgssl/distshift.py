@@ -111,29 +111,20 @@ def extract_embeddings(
     return EmbeddingSet(encode(encoder, cfg, batch), source_tag)
 
 
-class _PcaReducer:
-    def __init__(self, reference: np.ndarray):
-        self.mean = reference.mean(axis=0)
-        centered = reference - self.mean
-        _, s, vt = np.linalg.svd(centered, full_matrices=False)
-        if not np.any(s > 1e-12):
-            raise ValueError("reference embeddings have zero variance")
-        self.components = vt[:2]
-        if self.components.shape[0] < 2:
-            raise ValueError("reference rank too low for a 2-D reduction")
-
-    def transform(self, points):
-        return (points - self.mean) @ self.components.T
-
-
 def fit_reduce(reference: EmbeddingSet, others=()) -> list:
     """Fit PCA on the reference set only; project reference and others with
     the same transform so all sets share one coordinate frame."""
     if reference.points.shape[0] < 3:
         raise ValueError("need at least 3 reference points")
-    reducer = _PcaReducer(reference.points)
+    mean = reference.points.mean(axis=0)
+    _, s, vt = np.linalg.svd(reference.points - mean, full_matrices=False)
+    if not np.any(s > 1e-12):
+        raise ValueError("reference embeddings have zero variance")
+    components = vt[:2]
+    if components.shape[0] < 2:
+        raise ValueError("reference rank too low for a 2-D reduction")
     return [
-        ReducedEmbedding(reducer.transform(e.points), e.source_tag)
+        ReducedEmbedding((e.points - mean) @ components.T, e.source_tag)
         for e in (reference, *others)
     ]
 
@@ -143,13 +134,13 @@ def _scott_bandwidth(points: np.ndarray) -> np.ndarray:
     return points.std(axis=0) * n ** (-1.0 / 6.0)
 
 
-def shared_grid_bounds(points_a, points_b, pad_bandwidths: float = 3.0):
+def shared_grid_bounds(points_a, points_b):
     """Joint min/max of the pair, padded by 3 bandwidths (the larger set's)."""
     both = np.vstack([points_a, points_b])
     bw = np.maximum(_scott_bandwidth(points_a), _scott_bandwidth(points_b))
     rng = both.max(axis=0) - both.min(axis=0)
     bw = np.where(bw > 0, bw, np.where(rng > 0, 1e-6 * rng, 1e-6))
-    return both.min(axis=0) - pad_bandwidths * bw, both.max(axis=0) + pad_bandwidths * bw
+    return both.min(axis=0) - 3.0 * bw, both.max(axis=0) + 3.0 * bw
 
 
 def _gauss_kernel(grid, x, h, out):
@@ -162,9 +153,10 @@ def _gauss_kernel(grid, x, h, out):
     return np.exp(out, out=out)
 
 
-def kde_2d(points, resolution: int = DEFAULT_RESOLUTION, bounds=None) -> DensityGrid:
-    """Gaussian product-kernel density on a regular grid, normalized so the
-    cell sum times the cell area is 1.
+def kde_2d(points, resolution: int, bounds) -> DensityGrid:
+    """Gaussian product-kernel density on a regular grid spanning `bounds`
+    (a (lo, hi) pair of 2-vectors, as `shared_grid_bounds` gives), normalized
+    so the cell sum times the cell area is 1.
 
     Per-axis bandwidths follow Scott's rule (n^(-1/6) x axis std); a
     zero-variance axis gets a floored bandwidth and sets a flag.
@@ -177,11 +169,7 @@ def kde_2d(points, resolution: int = DEFAULT_RESOLUTION, bounds=None) -> Density
 
     bw = _scott_bandwidth(points)
     flagged = bool(np.any(bw == 0))
-    if bounds is None:
-        lo = points.min(axis=0) - 3.0 * bw
-        hi = points.max(axis=0) + 3.0 * bw
-    else:
-        lo, hi = np.asarray(bounds[0]), np.asarray(bounds[1])
+    lo, hi = np.asarray(bounds[0]), np.asarray(bounds[1])
     rng = hi - lo
     # floor a degenerate bandwidth at one grid cell so the kernel still
     # lands on grid points

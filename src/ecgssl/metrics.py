@@ -36,10 +36,12 @@ class PredictionBatch:
             )
 
 
-def _confusion(pred: PredictionBatch, threshold: float):
-    if not 0 <= threshold <= 1:
-        raise ValueError("threshold must lie in [0, 1]")
-    decided = pred.scores >= threshold
+# a class counts as predicted at a score of at least this
+THRESHOLD = 0.5
+
+
+def _confusion(pred: PredictionBatch):
+    decided = pred.scores >= THRESHOLD
     actual = pred.targets.astype(bool)
     tp = np.sum(decided & actual, axis=0)
     fp = np.sum(decided & ~actual, axis=0)
@@ -47,9 +49,9 @@ def _confusion(pred: PredictionBatch, threshold: float):
     return tp, fp, fn
 
 
-def per_class_f1(pred: PredictionBatch, threshold: float = 0.5) -> np.ndarray:
+def per_class_f1(pred: PredictionBatch) -> np.ndarray:
     """F1 per class; an empty confusion (TP=FP=FN=0) scores 1.0 by convention."""
-    tp, fp, fn = _confusion(pred, threshold)
+    tp, fp, fn = _confusion(pred)
     denom = 2 * tp + fp + fn
     out = np.ones(len(tp), dtype=np.float64)
     nonempty = denom > 0
@@ -57,13 +59,13 @@ def per_class_f1(pred: PredictionBatch, threshold: float = 0.5) -> np.ndarray:
     return out
 
 
-def macro_f1(pred: PredictionBatch, threshold: float = 0.5) -> float:
-    scores = per_class_f1(pred, threshold)
+def macro_f1(pred: PredictionBatch) -> float:
+    scores = per_class_f1(pred)
     return float(scores.sum() / len(scores))
 
 
-def micro_f1(pred: PredictionBatch, threshold: float = 0.5) -> float:
-    tp, fp, fn = _confusion(pred, threshold)
+def micro_f1(pred: PredictionBatch) -> float:
+    tp, fp, fn = _confusion(pred)
     denom = 2 * tp.sum() + fp.sum() + fn.sum()
     if denom == 0:
         return 1.0
@@ -72,16 +74,10 @@ def micro_f1(pred: PredictionBatch, threshold: float = 0.5) -> float:
 
 def _rank_auc(scores, targets):
     """P(random positive outranks random negative), ties counted half."""
-    order = np.argsort(scores, kind="mergesort")
-    s_sorted = scores[order]
-    ranks = np.empty(len(scores), dtype=np.float64)
-    i = 0
-    while i < len(s_sorted):
-        j = i
-        while j + 1 < len(s_sorted) and s_sorted[j + 1] == s_sorted[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0  # average 1-based rank
-        i = j + 1
+    # a tie group ending at 1-based rank r with c members has average rank
+    # r - (c - 1) / 2; every term is a whole or half number, so exact
+    _, group, counts = np.unique(scores, return_inverse=True, return_counts=True)
+    ranks = (np.cumsum(counts) - (counts - 1) / 2.0)[group]
     pos = targets.astype(bool)
     n_pos, n_neg = pos.sum(), (~pos).sum()
     return (ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)

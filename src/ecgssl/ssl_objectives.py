@@ -127,10 +127,8 @@ def nt_xent_loss(emb: ViewBatchEmbeddings) -> Tensor:
     return (denom.log() - pos_sim).mean()
 
 
-def byol_loss(q_i: Tensor, z_j) -> Tensor:
-    """Per-row 2 - 2 cos(q_i, z_j), batch-averaged; z_j is a constant."""
-    if isinstance(z_j, Tensor):
-        z_j = z_j.data
+def byol_loss(q_i: Tensor, z_j: np.ndarray) -> Tensor:
+    """Per-row 2 - 2 cos(q_i, z_j), batch-averaged; z_j is a constant array."""
     z_j = np.asarray(z_j, dtype=np.float64)
     if q_i.data.shape != z_j.shape:
         raise ValueError("shape mismatch between predictor output and target")

@@ -261,7 +261,7 @@ def _fit(config, stream, n, batch_losses, model, trainable, validate):
     return best, best_score, log
 
 
-def pretrain(config: PretrainConfig, split, enc_cfg: EncoderConfig | None = None):
+def pretrain(config: PretrainConfig, split, enc_cfg: EncoderConfig):
     """Train one SSL method and return (best params by validation loss, log)."""
     if not split.train:
         raise ValueError("empty training split")
@@ -274,8 +274,6 @@ def pretrain(config: PretrainConfig, split, enc_cfg: EncoderConfig | None = None
     X, X_val = _stack(split.train), _stack(split.validation)
     if config.batch_size > len(X):
         raise ValueError("batch_size exceeds training set size")
-    if enc_cfg is None:
-        enc_cfg = EncoderConfig(n_leads=X.shape[1])
 
     params = init_encoder_params(enc_cfg, config.seed)
     batch_loss, trainable, after_step = set_up(config, enc_cfg, params)
@@ -308,7 +306,7 @@ def finetune(
     pretrained: ModelParams,
     config: FinetuneConfig,
     split,
-    enc_cfg: EncoderConfig | None = None,
+    enc_cfg: EncoderConfig,
     init_head: ModelParams | None = None,
 ):
     """Append a sigmoid multi-label head and train with BCE; the returned
@@ -320,8 +318,6 @@ def finetune(
         raise ValueError("empty validation set: model selection undefined")
     X, (Y, _classes) = _stack(split.train), _labels_matrix(split.train)
     X_val, (Y_val, _) = _stack(split.validation), _labels_matrix(split.validation)
-    if enc_cfg is None:
-        enc_cfg = EncoderConfig(n_leads=X.shape[1])
 
     params = pretrained.copy()
     if init_head is not None:
@@ -386,18 +382,11 @@ def predict_scores(model: ModelParams, enc_cfg: EncoderConfig, windows):
 
 
 def linear_eval(
-    pretrained: ModelParams,
-    split,
-    enc_cfg: EncoderConfig | None = None,
-    config: FinetuneConfig | None = None,
+    pretrained: ModelParams, split, enc_cfg: EncoderConfig, config: FinetuneConfig
 ):
     """Frozen-encoder fine-tuning, then macro-F1 on the test partition."""
-    if config is None:
-        config = FinetuneConfig(freeze_encoder=True)
-    elif not config.freeze_encoder:
+    if not config.freeze_encoder:
         raise ValueError("linear evaluation requires freeze_encoder=True")
-    if enc_cfg is None:
-        enc_cfg = EncoderConfig(n_leads=split.train[0].data.shape[0])
     model, log = finetune(pretrained, config, split, enc_cfg)
     pred = predict_scores(model, enc_cfg, split.test)
     return macro_f1(pred), log

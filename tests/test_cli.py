@@ -250,17 +250,19 @@ class TestLineval:
             blob += t.data.astype(np.float32).tobytes()
         v1 = tmp_path / "v1.ckpt"
         v1.write_bytes(blob + struct.pack("<B", 0))
-        loaded, spec = load_checkpoint(v1)
-        assert spec is None
-        for name in params.names():
-            np.testing.assert_array_equal(loaded[name].data, params[name].data)
-        cfg = write_config(
-            tmp_path / "lin.json",
-            {"dataset": str(data_dir / "cohortA"), "checkpoint": str(v1)},
-        )
-        assert run("lineval", cfg, tmp_path / "out") == 3
-        err = capsys.readouterr().err
-        assert "no run spec" in err and len(err.strip().splitlines()) == 1
+        with pytest.raises(ValueError, match="unsupported checkpoint version 1"):
+            load_checkpoint(v1)
+        # a version 2 file saved without a spec
+        bare = tmp_path / "bare.ckpt"
+        save_checkpoint(bare, params)
+        for ckpt, message in ((v1, "unsupported checkpoint version 1"), (bare, "no run spec")):
+            cfg = write_config(
+                tmp_path / "lin.json",
+                {"dataset": str(data_dir / "cohortA"), "checkpoint": str(ckpt)},
+            )
+            assert run("lineval", cfg, tmp_path / "out") == 3
+            err = capsys.readouterr().err
+            assert message in err and len(err.strip().splitlines()) == 1
 
 
 class TestFinetune:
@@ -277,6 +279,31 @@ class TestFinetune:
         out = tmp_path / "out"
         assert run("finetune", cfg, out, seed=2) == 0
         assert (out / "metrics.json").exists()
+
+    @pytest.mark.parametrize("command", ["finetune", "lineval"])
+    def test_empty_test_split_is_data_error_before_training(
+        self, command, data_dir, pretrain_dir, tmp_path, capsys, monkeypatch
+    ):
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained with no test windows")
+
+        monkeypatch.setattr(th, "finetune", no_training)
+        cfg = write_config(
+            tmp_path / "ft.json",
+            {
+                "dataset": str(data_dir / "cohortA"),
+                "checkpoint": str(pretrain_dir / "checkpoint.ckpt"),
+                "fractions": [0.75, 0.25, 0.0],
+                "finetune": {"epochs": 2, "batch_size": 8},
+            },
+        )
+        out = tmp_path / "out"
+        assert run(command, cfg, out, seed=2) == 3
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert "cohortA" in err and "12 subjects" in err and "[0.75, 0.25, 0.0]" in err
+        assert json.loads((out / "manifest.json").read_text())["exit_code"] == 3
+        assert not (out / "metrics.json").exists()
 
 
 class TestDistshift:

@@ -43,7 +43,8 @@ class TestPca:
 
 class TestKde:
     def test_integrates_to_one(self, rng):
-        g = ds.kde_2d(rng.standard_normal((200, 2)), resolution=64)
+        pts = rng.standard_normal((200, 2))
+        g = ds.kde_2d(pts, 64, ds.shared_grid_bounds(pts, pts))
         np.testing.assert_allclose(g.density.sum() * g.cell_area, 1.0, atol=1e-12)
 
     def test_gaussian_peak_height(self):
@@ -51,15 +52,17 @@ class TestKde:
         # 1/(2*pi*(1+h^2)); allow sampling noise on 4000 draws
         rng = np.random.default_rng(0)
         n = 4000
-        g = ds.kde_2d(rng.standard_normal((n, 2)), resolution=128)
+        pts = rng.standard_normal((n, 2))
+        g = ds.kde_2d(pts, 128, ds.shared_grid_bounds(pts, pts))
         h2 = float(n ** (-1.0 / 3.0))
         expect = 1.0 / (2 * np.pi * (1.0 + h2))
         assert abs(g.density.max() - expect) < 0.15 * expect
 
     def test_translation_equivariance(self, rng):
         pts = rng.standard_normal((150, 2))
-        g1 = ds.kde_2d(pts, resolution=64)
-        g2 = ds.kde_2d(pts + [5.0, -3.0], resolution=64)
+        moved = pts + [5.0, -3.0]
+        g1 = ds.kde_2d(pts, 64, ds.shared_grid_bounds(pts, pts))
+        g2 = ds.kde_2d(moved, 64, ds.shared_grid_bounds(moved, moved))
         np.testing.assert_allclose(g1.density, g2.density, atol=1e-9)
         np.testing.assert_allclose(g2.grid_min, g1.grid_min + [5.0, -3.0], atol=1e-9)
 
@@ -78,8 +81,9 @@ class TestKde:
         assert g.zero_variance_flag
 
     def test_low_resolution_rejected(self, rng):
+        pts = rng.standard_normal((20, 2))
         with pytest.raises(ValueError):
-            ds.kde_2d(rng.standard_normal((20, 2)), resolution=8)
+            ds.kde_2d(pts, 8, ds.shared_grid_bounds(pts, pts))
 
 
 class TestOverlap:
@@ -129,8 +133,8 @@ class TestOverlap:
 
     def test_mismatched_grids_rejected(self, rng):
         a = rng.standard_normal((50, 2))
-        g1 = ds.kde_2d(a, 64)
-        g2 = ds.kde_2d(a + 10.0, 64)
+        g1 = ds.kde_2d(a, 64, ds.shared_grid_bounds(a, a))
+        g2 = ds.kde_2d(a + 10.0, 64, ds.shared_grid_bounds(a + 10.0, a + 10.0))
         with pytest.raises(ValueError):
             ds.overlap_index(g1, g2)
 
@@ -166,14 +170,11 @@ def direct_axis_overlap_1d(points_a, points_b, axis, resolution=1024):
     return min(max(eta, 0.0), 1.0)
 
 
-def direct_kde_density(points, resolution, bounds=None):
+def direct_kde_density(points, resolution, bounds):
     """`kde_2d(...).density` with the kernels built in one expression each:
     the reference for its in-place kernels."""
     bw = points.std(axis=0) * points.shape[0] ** (-1.0 / 6.0)
-    if bounds is None:
-        lo, hi = points.min(axis=0) - 3.0 * bw, points.max(axis=0) + 3.0 * bw
-    else:
-        lo, hi = np.asarray(bounds[0]), np.asarray(bounds[1])
+    lo, hi = np.asarray(bounds[0]), np.asarray(bounds[1])
     cell = (hi - lo) / (resolution - 1)
     bw = np.where(bw > 0, bw, np.where(cell > 0, cell, 1e-6))
     gx = np.linspace(lo[0], hi[0], resolution)
@@ -199,12 +200,9 @@ class TestInPlaceKernels:
     def test_kde_bytes_equal_direct_form(self, rng, n, resolution):
         a = rng.standard_normal((n, 2)) * [2.0, 0.5]
         b = rng.standard_normal((n, 2)) + 1.0
-        bounds = ds.shared_grid_bounds(a, b)
-        for got, want in [
-            (ds.kde_2d(a, resolution).density, direct_kde_density(a, resolution)),
-            (ds.kde_2d(b, resolution, bounds).density, direct_kde_density(b, resolution, bounds)),
-        ]:
-            assert got.tobytes() == want.tobytes()
+        for pts, bounds in ((a, ds.shared_grid_bounds(a, a)), (b, ds.shared_grid_bounds(a, b))):
+            got = ds.kde_2d(pts, resolution, bounds).density
+            assert got.tobytes() == direct_kde_density(pts, resolution, bounds).tobytes()
 
 
 class TestAnalyzePair:

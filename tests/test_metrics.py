@@ -25,6 +25,24 @@ def brute_f1(decided, actual):
     return 2 * p * r / (p + r)
 
 
+def loop_rank_auc(scores, targets):
+    """The AUC by tie groups found in a Python loop over the sorted scores:
+    the reference for `_rank_auc`'s vectorized average ranks."""
+    order = np.argsort(scores, kind="mergesort")
+    s_sorted = scores[order]
+    ranks = np.empty(len(scores), dtype=np.float64)
+    i = 0
+    while i < len(s_sorted):
+        j = i
+        while j + 1 < len(s_sorted) and s_sorted[j + 1] == s_sorted[i]:
+            j += 1
+        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0  # average 1-based rank
+        i = j + 1
+    pos = targets.astype(bool)
+    n_pos, n_neg = pos.sum(), (~pos).sum()
+    return (ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+
+
 def brute_auc(scores, targets):
     pos = scores[targets.astype(bool)]
     neg = scores[~targets.astype(bool)]
@@ -69,11 +87,7 @@ class TestF1HandExamples:
 
     def test_threshold_boundary_inclusive(self):
         b = batch([[0.5]], [[1]])
-        np.testing.assert_array_equal(mx.per_class_f1(b, threshold=0.5), [1.0])
-
-    def test_bad_threshold_rejected(self):
-        with pytest.raises(ValueError):
-            mx.macro_f1(batch([[0.5]], [[1]]), threshold=1.5)
+        np.testing.assert_array_equal(mx.per_class_f1(b), [1.0])
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -134,6 +148,22 @@ class TestAuc:
             per, _, _ = mx.auc(batch(scores[:, None], targets[:, None]))
             np.testing.assert_allclose(per[0], brute_auc(scores, targets), atol=1e-12)
             done += 1
+
+    @pytest.mark.parametrize("decimals", [1, 2])
+    @pytest.mark.parametrize("n", [2, 5, 40, 1000])
+    def test_bytes_equal_loop_reference_on_ties(self, n, decimals):
+        rng = np.random.default_rng(1000 * n + decimals)
+        for _ in range(50):
+            scores = np.round(rng.uniform(-0.05, 1.0, (n, 3)), decimals)
+            # ties between -0.0 and 0.0 too
+            zero = scores == 0
+            scores[zero] = np.where(rng.random(zero.sum()) < 0.5, -0.0, 0.0)
+            targets = rng.integers(0, 2, (n, 3))
+            targets[0], targets[1] = 0, 1
+            per, macro, _ = mx.auc(batch(scores, targets))
+            want = [loop_rank_auc(scores[:, c], targets[:, c]) for c in range(3)]
+            assert per.tobytes() == np.array(want).tobytes()
+            assert macro.hex() == float(np.mean(want)).hex()
 
     def test_monotone_transform_invariance(self):
         rng = np.random.default_rng(9)

@@ -1,0 +1,116 @@
+"""SHA-256 of every output file of a fixed ecgssl CLI chain, one line each.
+
+    python tools/digests.py [SRC] > digests.txt
+
+SRC is the `src` directory of the checkout to run (default: this one's). The
+chain runs in a fixed working directory under the system temp directory, at
+one BLAS thread, with relative paths in every config, so two checkouts give
+the same lines exactly when their outputs are byte-identical:
+
+- synth-gen of a 1-lead 100 Hz cohort, its out-of-distribution twin, and a
+  12-lead 500 Hz cohort;
+- pretrain of SimCLR, BYOL and SwAV with GaussianNoise and with Combination
+  on the 1-lead cohort, and of SimCLR on the 12-lead one (resampled to
+  100 Hz);
+- lineval and finetune of every checkpoint on its own cohort, lineval of the
+  1-lead ones on the twin, distshift of the 1-lead ones against the twin,
+  and report over all runs;
+- in-process F1 and AUC on tie-heavy scores, written as `inproc/metrics.txt`.
+
+Compare two checkouts with `diff <(python tools/digests.py a/src)
+<(python tools/digests.py b/src)`.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+WORK = Path(tempfile.gettempdir()) / "ecgssl-digests"
+
+METHODS = ("SimCLR", "BYOL", "SwAV")
+AUGMENTATIONS = {
+    "GaussianNoise": {"kind": "GaussianNoise", "params": {"sigma": 0.5}},
+    "Combination": {"kind": "Combination", "params": {}},
+}
+PRETRAIN = {"epochs": 3, "batch_size": 8}
+FINETUNE = {"epochs": 3, "batch_size": 8}
+
+# F1 and AUC of seeded scores rounded to 1-2 decimals, with signed zeros,
+# so most scores tie
+INPROC = """
+import numpy as np
+from ecgssl import metrics
+g = np.random.default_rng(7)
+for n, decimals in ((7, 1), (40, 1), (40, 2), (300, 2)):
+    scores = np.round(g.uniform(-0.05, 1.0, (n, 3)), decimals)
+    scores[scores == 0] = np.where(g.random(np.sum(scores == 0)) < 0.5, -0.0, 0.0)
+    targets = g.integers(0, 2, (n, 3))
+    targets[0], targets[1] = 0, 1
+    pred = metrics.PredictionBatch(scores, targets)
+    per_class, macro, _ = metrics.auc(pred)
+    print(per_class.tobytes().hex(), repr(macro))
+    print(metrics.per_class_f1(pred).tobytes().hex(),
+          repr(metrics.macro_f1(pred)), repr(metrics.micro_f1(pred)))
+"""
+
+
+def main(argv) -> int:
+    src = Path(argv[1] if len(argv) > 1 else Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=str(src.resolve()), OPENBLAS_NUM_THREADS="1")
+    shutil.rmtree(WORK, ignore_errors=True)
+    (WORK / "inproc").mkdir(parents=True)
+
+    def run(command, out, config, seed=0):
+        cfg = WORK / "configs" / f"{out.replace('/', '_')}.json"
+        cfg.parent.mkdir(exist_ok=True)
+        cfg.write_text(json.dumps(config))
+        args = ["-m", "ecgssl.cli", command, "--config", str(cfg.relative_to(WORK)),
+                "--out", out, "--seed", str(seed)]
+        done = subprocess.run([sys.executable, *args], cwd=WORK, env=env,
+                              capture_output=True, text=True)
+        if done.returncode:
+            sys.exit(f"{command} {out} exited {done.returncode}: {done.stderr.strip()}")
+
+    run("synth-gen", "data", {"datasets": {
+        "id": {"n_subjects_per_class": 3},
+        "ood": {"n_subjects_per_class": 3, "noise_sigma": 0.25, "bump_amplitudes": [0.5, 0.5, 0.7]},
+        "multi": {"n_subjects_per_class": 3, "n_leads": 12, "sampling_rate_hz": 500.0},
+    }}, seed=7)
+    runs = [(m, a, "data/id") for m in METHODS for a in AUGMENTATIONS]
+    runs.append(("SimCLR", "GaussianNoise", "data/multi"))
+    for method, aug, data in runs:
+        run_dir = f"runs/{method}-{aug}-{data.split('/')[1]}"
+        run("pretrain", f"{run_dir}/pre", {
+            "dataset": data, "method": method, "augmentation": AUGMENTATIONS[aug],
+            "standardize_windows": True, "pretrain": PRETRAIN,
+        })
+        ckpt = f"{run_dir}/pre/checkpoint.ckpt"
+        for command in ("lineval", "finetune"):
+            run(command, f"{run_dir}/{command}",
+                {"dataset": data, "checkpoint": ckpt, "finetune": FINETUNE})
+        if data == "data/id":
+            run("lineval", f"{run_dir}/lineval-ood",
+                {"dataset": "data/ood", "checkpoint": ckpt, "finetune": FINETUNE})
+            run("distshift", f"{run_dir}/shift",
+                {"checkpoint": ckpt, "dataset_ref": "data/id", "dataset_other": "data/ood"})
+    run("report", "runs/report", {"scan_dir": "runs"})
+
+    done = subprocess.run([sys.executable, "-c", INPROC], env=env,
+                          capture_output=True, text=True, check=True)
+    (WORK / "inproc" / "metrics.txt").write_text(done.stdout)
+
+    for path in sorted(p for p in WORK.rglob("*") if p.is_file()):
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        print(f"{digest}  {path.relative_to(WORK)}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv))
