@@ -1,13 +1,15 @@
 """Eight augmentation recipes producing correlated views of ECG windows.
 
 Each recipe is declared once, in `_RECIPES`: its parameter names, the check
-of their values, its draw and its apply. An `AugmentationSpec` runs the check
-when it is built, so recipes take their parameters as given. Applications
-take a (n_leads, window_len) window or a (batch, n_leads, window_len) batch
-and return a new float array of the same shape. They are deterministic given
-the input, the parameters, and the RngStream seed, and a batch equals its
-windows augmented one by one: the draw consumes the stream window by window,
-as a loop over the windows would, and the apply runs once on the batch."""
+of their values and its application. An `AugmentationSpec` runs the check
+when it is built, so recipes take their parameters as given. An application
+takes a float64 (batch, n_leads, window_len) batch, the parameters and the
+RngStream; it draws what it needs for the whole batch at once and returns a
+new array of the same shape, leaving the input as it is. It is deterministic
+given the input, the parameters and the RngStream seed. Masking,
+TimeWarping and Combination draw in another order than a loop over the
+windows would, so for them a batch does not equal its windows augmented one
+by one."""
 
 from __future__ import annotations
 
@@ -40,65 +42,42 @@ class RngStream:
         self.generator = np.random.default_rng(self.seed)
 
 
-# Each recipe is a draw and an apply. The draw takes the parameters of a
-# checked spec, the stream and the (n_windows, n_leads, window_len) shape; it
-# consumes the stream window by window, in the order of a loop over the
-# windows, and returns a tuple of what it drew, each with n_windows rows. The
-# apply takes the float64 batch `x`, the parameters and those draws, runs
-# once on the whole batch and returns a new array; it leaves `x` as it is but
-# may write into the draws, which belong to that one call.
-
-
-def _normal(p, rng, shape):
-    return (rng.generator.normal(0.0, p["sigma"], size=shape),)
-
-
-def _gaussian_noise(x, p, noise):
+def _gaussian_noise(x, p, rng):
     """Additive i.i.d. Normal(0, sigma^2) noise on every sample."""
+    noise = rng.generator.normal(0.0, p["sigma"], size=x.shape)
     noise += x
     return noise
 
 
-def _factors(p, rng, shape):
-    return (rng.generator.uniform(p["a"], p["b"], size=shape[:2] + (1,)),)
-
-
-def _channel_scale(x, p, factors):
+def _channel_scale(x, p, rng):
     """Each lead multiplied by an independent factor drawn uniformly in [a, b]."""
-    return x * factors
+    return x * rng.generator.uniform(p["a"], p["b"], size=x.shape[:2] + (1,))
 
 
-def _nothing(p, rng, shape):
-    return ()
-
-
-def _negate(x, p):
+def _negate(x, p, rng):
     return -x
 
 
-def _phase(p, rng, shape):
-    return (rng.generator.uniform(0.0, 2.0 * np.pi, size=shape[0]),)
-
-
-def _baseline_wander(x, p, phase):
+def _baseline_wander(x, p, rng):
     """Add a slow sinusoid with period f_w samples and random phase.
 
     f_w is interpreted as a period in samples (100 samples = 1 Hz drift at
     100 Hz); the same waveform is added to every lead.
     """
+    phase = rng.generator.uniform(0.0, 2.0 * np.pi, size=x.shape[0])
     t = np.arange(x.shape[2])
     wave = p["s_bw"] * np.sin(2.0 * np.pi * t / p["f_w"] + phase[:, None])
     return x + wave[:, None, :]
 
 
-def _emg_noise(x, p, noise):
+def _emg_noise(x, p, rng):
     """High-pass-filtered white noise simulating muscle-activity artifacts.
 
     The noise is brick-wall filtered above 0.3 x Nyquist in the frequency
     domain, then rescaled so each window's sample std is sigma again.
     """
     n = x.shape[2]
-    spec = np.fft.rfft(noise, axis=2)
+    spec = np.fft.rfft(rng.generator.normal(0.0, p["sigma"], size=x.shape), axis=2)
     spec[:, :, np.fft.rfftfreq(n) < 0.15] = 0.0  # cycles per sample; Nyquist = 0.5
     filtered = np.fft.irfft(spec, n=n, axis=2)
     std = filtered.std(axis=(1, 2))
@@ -107,25 +86,19 @@ def _emg_noise(x, p, noise):
     return filtered
 
 
-def _runs(p, rng, shape):
-    """Per window a run of c% of its length, c uniform in [a, b], and the
-    start of that run on each lead."""
-    n_windows, n_leads, n = shape
-    start = np.zeros((n_windows, n_leads), dtype=np.int64)
-    run = np.zeros(n_windows, dtype=np.int64)
-    for i in range(n_windows):
-        c = rng.generator.uniform(p["a_pct"], p["b_pct"])
-        run[i] = round(c / 100.0 * n)
-        if run[i]:
-            start[i] = rng.generator.integers(0, n - run[i] + 1, size=n_leads)
-    return start, run
-
-
-def _mask(x, p, start, run):
+def _mask(x, p, rng):
     """Zero a contiguous c% run per lead, c drawn once per window from [a, b]."""
-    t = np.arange(x.shape[2])
-    start = start[:, :, None]
-    return np.where((t >= start) & (t < start + run[:, None, None]), 0.0, x)
+    n_windows, n_leads, n = x.shape
+    c = rng.generator.uniform(p["a_pct"], p["b_pct"], size=n_windows)
+    run = np.round(c / 100.0 * n).astype(np.int64)[:, None]
+    start = rng.generator.integers(0, n - run + 1, size=(n_windows, n_leads))
+    t = np.arange(n)
+    return np.where((t >= start[..., None]) & (t < (start + run)[..., None]), 0.0, x)
+
+
+def _orders(rng, n_windows, n):
+    """Per window a uniformly random order of range(n)."""
+    return np.argsort(rng.generator.random((n_windows, n)), axis=1)
 
 
 def _segment_counts(w):
@@ -134,39 +107,34 @@ def _segment_counts(w):
     return (2, 1) if w == 1 else (w, int(np.ceil(w / 2)))
 
 
-def _stretched(p, rng, shape):
-    w = int(p["w"])
-    if shape[2] < 2 * w:
-        raise ValueError("window too short for the requested segment count")
-    n_seg, n_stretch = _segment_counts(w)
-    picked = [rng.generator.choice(n_seg, size=n_stretch, replace=False) for _ in range(shape[0])]
-    return (np.array(picked),)
+def _check_warp(p):
+    """TimeWarping's check; a stretch that would fill the window raises,
+    naming the bound of r_pct."""
+    if not (p["w"] >= 1 and int(p["w"]) == p["w"] and p["r_pct"] > 0):
+        return False
+    n_seg, n_stretch = _segment_counts(int(p["w"]))
+    bound = 100.0 * (n_seg - n_stretch) / n_stretch  # where the squeezed segments vanish
+    if p["r_pct"] >= bound:
+        raise ValueError(
+            f"invalid parameters for TimeWarping: r_pct must be below {bound:.3g} "
+            f"for w = {p['w']}, got {p['r_pct']}"
+        )
+    return True
 
 
 @functools.lru_cache(maxsize=64)
 def _warp_plan(n, w, r_pct, stretched):
     """(lo, hi, frac) of the warp of an n-sample window that stretches the
     segments `stretched`. Output sample t is (x[hi] - x[lo]) * frac + x[lo],
-    as np.interp resamples each segment; where frac is 0, x[lo] is copied as
-    is, as np.interp does on an exact hit. `stretched` is in drawn order, so
-    the set built from it sums the stretched lengths in the drawn set's order.
-    """
+    a linear interpolation within each segment."""
     n_seg, _ = _segment_counts(w)
     bounds = np.linspace(0, n, n_seg + 1).round().astype(int)
     lengths = np.diff(bounds)
-    stretch_idx = set(stretched)
 
+    is_stretched = np.isin(np.arange(n_seg), stretched)
     factor = 1.0 + r_pct / 100.0
-    stretched_total = sum(lengths[i] * factor for i in stretch_idx)
-    squeezed_len = sum(lengths[i] for i in range(n_seg) if i not in stretch_idx)
-    q = (n - stretched_total) / squeezed_len if squeezed_len else 1.0
-
-    new_lengths = np.array(
-        [
-            lengths[i] * (factor if i in stretch_idx else q)
-            for i in range(n_seg)
-        ]
-    )
+    q = (n - factor * lengths[is_stretched].sum()) / lengths[~is_stretched].sum()
+    new_lengths = lengths * np.where(is_stretched, factor, q)
     rounded = np.floor(new_lengths).astype(int)
     rounded = np.maximum(rounded, 1)
     # push rounding drift into the largest-error segments so the sum is exact
@@ -174,10 +142,11 @@ def _warp_plan(n, w, r_pct, stretched):
         rounded[np.argmax(new_lengths - rounded)] += 1
     while rounded.sum() > n:
         rounded[np.argmin(new_lengths - rounded)] -= 1
+    if rounded.min() < 1:
+        raise ValueError(f"a {n}-sample window is too short to warp with w = {w} and r_pct = {r_pct}")
 
     lo, frac = [], []
     for i in range(n_seg):
-        # for an unchanged length these are the whole numbers, each copied as is
         pos = np.linspace(0.0, lengths[i] - 1.0, rounded[i])
         j = np.floor(pos)
         lo.append(bounds[i] + j.astype(np.int64))
@@ -189,30 +158,28 @@ def _warp_plan(n, w, r_pct, stretched):
     return lo, hi, frac
 
 
-def _time_warp(x, p, stretched):
+def _time_warp(x, p, rng):
     """Stretch a random half of w segments by r% and squeeze the rest.
 
     Total length is preserved exactly. For w = 1 the single segment is split
     into two halves internally so that one can stretch and the other squeeze.
     """
-    groups = {}  # stretched segments -> the windows that drew them
-    for i, s in enumerate(stretched.tolist()):
-        groups.setdefault(tuple(s), []).append(i)
+    n_windows, _, n = x.shape
+    w = int(p["w"])
+    if n < 2 * w:
+        raise ValueError("window too short for the requested segment count")
+    n_seg, n_stretch = _segment_counts(w)
+    stretched = np.sort(_orders(rng, n_windows, n_seg)[:, :n_stretch], axis=1)
     out = np.empty_like(x)
-    for s, rows in groups.items():
-        lo, hi, frac = _warp_plan(x.shape[2], int(p["w"]), p["r_pct"], s)
+    for s in np.unique(stretched, axis=0):
+        rows = np.flatnonzero((stretched == s).all(axis=1))
+        lo, hi, frac = _warp_plan(n, w, p["r_pct"], tuple(s.tolist()))
         windows = x[rows]
-        y0, y1 = np.take(windows, lo, axis=2), np.take(windows, hi, axis=2)
-        with np.errstate(invalid="ignore", over="ignore"):  # np.interp never warns
-            slope = y1 - y0
-            warped = slope * frac
+        y0 = np.take(windows, lo, axis=2)
+        with np.errstate(invalid="ignore", over="ignore"):  # huge values may overflow
+            warped = np.take(windows, hi, axis=2) - y0
+            warped *= frac
             warped += y0
-            nan = np.isnan(warped)
-            if nan.any():
-                # np.interp's fallbacks: from the right-hand sample, then a flat step
-                right = slope * (frac - 1.0) + y1
-                warped[nan] = np.where(np.isnan(right) & (y0 == y1), y0, right)[nan]
-        np.copyto(warped, y0, where=frac == 0.0)
         out[rows] = warped
     return out
 
@@ -228,62 +195,41 @@ COMBINATION_POOL = (
 )
 
 
-def _picks(p, rng, shape):
-    """Per window, four distinct pool indices and then the draws of each
-    pick in turn, for that one window."""
-    picks, drawn = [], []
-    for _ in range(shape[0]):
-        pick = rng.generator.choice(len(COMBINATION_POOL), size=4, replace=False)
-        picks.append(pick)
-        drawn.append([
-            _RECIPES[COMBINATION_POOL[i][0]].draw(COMBINATION_POOL[i][1], rng, (1,) + shape[1:])
-            for i in pick
-        ])
-    return np.array(picks), drawn
-
-
-def _combine(x, p, picks, drawn):
+def _combine(x, p, rng):
     """Apply four distinct augmentations drawn without replacement, in order.
 
-    Each stage applies each pool recipe once, to the windows that picked it.
+    Each window takes the first four of a random order of the pool. Each
+    stage applies each pool recipe once, to the windows that picked it.
     """
+    picks = _orders(rng, x.shape[0], len(COMBINATION_POOL))[:, :4]
     x = x.copy()
-    for stage in range(4):
-        for i in np.unique(picks[:, stage]):
-            rows = np.flatnonzero(picks[:, stage] == i)
+    for stage in picks.T:
+        for i in np.unique(stage):
+            rows = np.flatnonzero(stage == i)
             kind, params = COMBINATION_POOL[i]
-            draws = [np.concatenate(d) for d in zip(*(drawn[r][stage] for r in rows))]
-            x[rows] = _RECIPES[kind].apply(x[rows], params, *draws)
+            x[rows] = _RECIPES[kind].apply(x[rows], params, rng)
     return x
 
 
 class _Recipe(NamedTuple):
     names: tuple  # of its parameters
     check: Callable  # of their values, each a finite real number
-    draw: Callable
-    apply: Callable
+    apply: Callable  # (batch, params, rng) -> a new augmented batch
 
 
 _RECIPES = {
-    "GaussianNoise": _Recipe(("sigma",), lambda p: p["sigma"] > 0, _normal, _gaussian_noise),
-    "ChannelScaling": _Recipe(
-        ("a", "b"), lambda p: 0 < p["a"] <= p["b"], _factors, _channel_scale
-    ),
-    "Negation": _Recipe((), lambda p: True, _nothing, _negate),
+    "GaussianNoise": _Recipe(("sigma",), lambda p: p["sigma"] > 0, _gaussian_noise),
+    "ChannelScaling": _Recipe(("a", "b"), lambda p: 0 < p["a"] <= p["b"], _channel_scale),
+    "Negation": _Recipe((), lambda p: True, _negate),
     "BaselineWander": _Recipe(
-        ("f_w", "s_bw"), lambda p: p["f_w"] > 0 and p["s_bw"] >= 0, _phase, _baseline_wander
+        ("f_w", "s_bw"), lambda p: p["f_w"] > 0 and p["s_bw"] >= 0, _baseline_wander
     ),
-    "EmgNoise": _Recipe(("sigma",), lambda p: p["sigma"] > 0, _normal, _emg_noise),
+    "EmgNoise": _Recipe(("sigma",), lambda p: p["sigma"] > 0, _emg_noise),
     "Masking": _Recipe(
-        ("a_pct", "b_pct"), lambda p: 0 <= p["a_pct"] <= p["b_pct"] <= 100, _runs, _mask
+        ("a_pct", "b_pct"), lambda p: 0 <= p["a_pct"] <= p["b_pct"] <= 100, _mask
     ),
-    "TimeWarping": _Recipe(
-        ("w", "r_pct"),
-        lambda p: p["w"] >= 1 and int(p["w"]) == p["w"] and p["r_pct"] > 0,
-        _stretched,
-        _time_warp,
-    ),
-    "Combination": _Recipe((), lambda p: True, _picks, _combine),
+    "TimeWarping": _Recipe(("w", "r_pct"), _check_warp, _time_warp),
+    "Combination": _Recipe((), lambda p: True, _combine),
 }
 
 
@@ -302,7 +248,7 @@ class AugmentationSpec:
     def __post_init__(self):
         if self.kind not in _RECIPES:
             raise ValueError(f"unknown augmentation kind {self.kind!r}")
-        names, check, _, _ = _RECIPES[self.kind]
+        names, check, _ = _RECIPES[self.kind]
         if set(self.params) != set(names):
             raise ValueError(
                 f"{self.kind} takes parameters {list(names)}, got {list(self.params)}"
@@ -319,14 +265,13 @@ class AugmentationSpec:
 
 def apply_augmentation(x, spec: AugmentationSpec, rng: RngStream):
     """The augmented copy of a (n_leads, window_len) window or of a
-    (batch, n_leads, window_len) batch. A batch gives the same bytes, and
-    leaves `rng` in the same state, as its windows augmented one by one."""
+    (batch, n_leads, window_len) batch; the random numbers of the whole
+    batch are drawn from `rng` at once."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim not in (2, 3):
         raise ValueError("expected a (n_leads, window_len) or (batch, n_leads, window_len) array")
     batch = x if x.ndim == 3 else x[None]
-    recipe = _RECIPES[spec.kind]
-    out = recipe.apply(batch, spec.params, *recipe.draw(spec.params, rng, batch.shape))
+    out = _RECIPES[spec.kind].apply(batch, spec.params, rng)
     return out if x.ndim == 3 else out[0]
 
 

@@ -277,6 +277,8 @@ def split_by_subject(records, fractions, seed: int) -> DatasetSplit:
     """Subject-disjoint train/val/test partition, deterministic per seed."""
     if abs(sum(fractions) - 1.0) > 1e-9:
         raise ValueError("fractions must sum to 1")
+    if min(fractions) < 0:
+        raise ValueError(f"fractions must be >= 0, got {list(fractions)}")
     if len(fractions) != 3:
         raise ValueError("expected (train, val, test) fractions")
     subjects = sorted({r.subject_id for r in records})

@@ -268,6 +268,11 @@ class TestSpecSerialization:
             ("TimeWarping", {"w": 0, "r_pct": 10.0}),
             ("TimeWarping", {"w": 1.5, "r_pct": 10.0}),
             ("TimeWarping", {"w": 3, "r_pct": 0}),
+            # stretched segments that would fill the whole window
+            ("TimeWarping", {"w": 1, "r_pct": 100}),
+            ("TimeWarping", {"w": 2, "r_pct": 150}),
+            ("TimeWarping", {"w": 3, "r_pct": 50}),
+            ("TimeWarping", {"w": 5, "r_pct": 66.7}),
         ],
     )
     def test_value_out_of_range_rejected(self, kind, params):
@@ -322,9 +327,19 @@ BATCH_SPECS = ALL_SPECS + [
 ]
 
 
+# recipes whose draws for a batch are those of its windows one by one
+PER_WINDOW_DRAWS = ("GaussianNoise", "ChannelScaling", "Negation", "BaselineWander", "EmgNoise")
+
+
+def spec_id(s):
+    return f"{s.kind}{sorted(s.params.values())}"
+
+
 @pytest.mark.parametrize("batch", [1, 7, 32])
 @pytest.mark.parametrize("leads", [1, 12])
-@pytest.mark.parametrize("spec", BATCH_SPECS, ids=lambda s: f"{s.kind}{sorted(s.params.values())}")
+@pytest.mark.parametrize(
+    "spec", [s for s in BATCH_SPECS if s.kind in PER_WINDOW_DRAWS], ids=spec_id
+)
 def test_batch_equals_its_windows_one_by_one(spec, leads, batch):
     for seed in (0, 5, 2**32 - 1):
         X = np.random.default_rng(seed).standard_normal((batch, leads, 37))
@@ -332,9 +347,47 @@ def test_batch_equals_its_windows_one_by_one(spec, leads, batch):
         one, whole = ag.RngStream(seed), ag.RngStream(seed)
         expect = np.stack([ag.apply_augmentation(x, spec, one) for x in X])
         got = ag.apply_augmentation(X, spec, whole)
-        assert got.shape == X.shape and got.dtype == np.float64
         assert got.tobytes() == expect.tobytes()
         assert whole.generator.bit_generator.state == one.generator.bit_generator.state
+
+
+@pytest.mark.parametrize("batch", [1, 7, 32])
+@pytest.mark.parametrize("leads", [1, 12])
+@pytest.mark.parametrize("spec", BATCH_SPECS, ids=spec_id)
+def test_batch_contract(spec, leads, batch):
+    X = np.random.default_rng(batch).standard_normal((batch, leads, 37))
+    before = X.copy()
+    rng = ag.RngStream(3)
+    got = ag.apply_augmentation(X, spec, rng)
+    assert got.shape == X.shape and got.dtype == np.float64
+    assert ag.apply_augmentation(X, spec, ag.RngStream(3)).tobytes() == got.tobytes()
+    assert X.tobytes() == before.tobytes()
+    advanced = rng.generator.bit_generator.state != ag.RngStream(3).generator.bit_generator.state
+    assert advanced == (spec.kind != "Negation")
+
+
+@pytest.mark.parametrize("n", [2, 5, 6])
+def test_orders_are_uniform_permutations(n):
+    rows = 60_000
+    order = ag._orders(ag.RngStream(n), rows, n)
+    np.testing.assert_array_equal(np.sort(order, axis=1), np.broadcast_to(np.arange(n), order.shape))
+    # counts[position, value]: each Binomial(rows, 1/n)
+    counts = np.stack([np.bincount(order[:, j], minlength=n) for j in range(n)])
+    sigma = np.sqrt(rows * (1 / n) * (1 - 1 / n))
+    assert np.all(np.abs(counts - rows / n) <= 5 * sigma), counts
+
+
+def test_masking_batch_runs_in_range():
+    out = ag.mask(np.ones((32, 12, 250)), 40.0, 50.0, ag.RngStream(15))
+    for lead in out.reshape(-1, 250):
+        z = np.flatnonzero(lead == 0.0)
+        assert 100 <= z.size <= 125
+        assert z[-1] - z[0] + 1 == z.size  # one contiguous run
+
+
+def test_time_warp_window_too_short_for_its_stretch_rejected():
+    with pytest.raises(ValueError, match="23-sample window .* w = 5 and r_pct = 60"):
+        ag.time_warp(np.ones((8, 1, 23)), 5, 60.0, ag.RngStream(0))
 
 
 def test_batch_too_short_for_time_warp_rejected():

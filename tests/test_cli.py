@@ -627,6 +627,17 @@ BAD_CONFIGS = {
         lambda d, c: preview(d, "ChannelScaling", {"a": 2, "b": 1}),
         "invalid parameters for ChannelScaling",
     ),
+    # stretched segments that would fill the whole window
+    "time-warp-stretch-beyond-window": (
+        "augment-preview",
+        lambda d, c: preview(d, "TimeWarping", {"w": 3, "r_pct": 60}),
+        "r_pct must be below 50 for w = 3",
+    ),
+    "time-warp-stretch-beyond-window-pretrain": (
+        "pretrain",
+        lambda d, c: pre(d, augmentation={"kind": "TimeWarping", "params": {"w": 2, "r_pct": 150}}),
+        "r_pct must be below 100 for w = 2",
+    ),
 }
 
 

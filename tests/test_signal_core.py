@@ -276,6 +276,10 @@ class TestSplitBySubject:
         with pytest.raises(ValueError):
             sc.split_by_subject(self._records(5), (0.8, 0.3, 0.1), seed=0)
 
+    def test_negative_fraction_rejected(self):
+        with pytest.raises(ValueError, match="fractions must be >= 0"):
+            sc.split_by_subject(self._records(10), (1.5, -0.5, 0.0), seed=0)
+
 
 class TestGenerateSynthetic:
     def test_noiseless_reproducible(self):
