@@ -158,6 +158,16 @@ def _warp_plan(n, w, r_pct, stretched):
     return lo, hi, frac
 
 
+@functools.lru_cache(maxsize=64)
+def _check_fit(n, w, r_pct):
+    """Raise unless every draw of stretched segments can warp an n-sample
+    window. Stretching the longest segments squeezes the rest the most, so a
+    window that plan fits, every draw fits."""
+    n_seg, n_stretch = _segment_counts(w)
+    longest = np.argsort(-np.diff(np.linspace(0, n, n_seg + 1).round()), kind="stable")
+    _warp_plan(n, w, r_pct, tuple(sorted(longest[:n_stretch].tolist())))
+
+
 def _time_warp(x, p, rng):
     """Stretch a random half of w segments by r% and squeeze the rest.
 
@@ -168,6 +178,7 @@ def _time_warp(x, p, rng):
     w = int(p["w"])
     if n < 2 * w:
         raise ValueError("window too short for the requested segment count")
+    _check_fit(n, w, p["r_pct"])
     n_seg, n_stretch = _segment_counts(w)
     stretched = np.sort(_orders(rng, n_windows, n_seg)[:, :n_stretch], axis=1)
     out = np.empty_like(x)

@@ -304,6 +304,8 @@ def _load_windows(dataset_path, spec: dict, fractions=None, seed: int = 0):
 
 # run-spec keys that lineval, finetune and distshift take from the checkpoint
 _INHERITED = ("method", "target_hz", "window_len", "standardize_windows", "encoder")
+# the run-spec keys that are top-level `_Config` fields
+_SPEC_FIELDS = ("dataset", *(k for k in _INHERITED if k != "encoder"))
 
 
 def _load_run(c: _Config):
@@ -319,6 +321,8 @@ def _load_run(c: _Config):
             f"checkpoint {c.checkpoint} carries no run spec; re-create it with 'ecgssl pretrain'"
         )
     try:
+        # types and ranges as a config's: a string "250" or "no" is refused
+        _read(_Config, {k: spec[k] for k in _SPEC_FIELDS}, "spec")
         encoder = _read(EncoderConfig, spec["encoder"], "encoder")
     except ConfigError as e:
         raise DataError(f"checkpoint {c.checkpoint}: {e}") from None
@@ -359,11 +363,21 @@ def cmd_synth_gen(c: _Config, out_dir: Path, seed: int):
         _save_dataset(out_dir / name, records)
 
 
+def _augment(x, spec: AugmentationSpec, rng, fits: str):
+    """`apply_augmentation`; a spec that cannot apply to `x` is a config
+    error that names `fits`, what gives x its length."""
+    try:
+        return augment.apply_augmentation(x, spec, rng)
+    except ValueError as e:
+        raise ConfigError(f"augmentation: {spec.kind} does not fit {fits}: {e}") from None
+
+
 def cmd_augment_preview(c: _Config, out_dir: Path, seed: int):
     if not Path(c.record).exists():
         raise DataError(f"record file not found: {c.record}")
     record = _read_file(signal_core.read_record_binary, c.record)
-    leads = augment.apply_augmentation(record.leads, c.augmentation, augment.RngStream(seed))
+    fits = f"the record's {record.leads.shape[1]} samples"
+    leads = _augment(record.leads, c.augmentation, augment.RngStream(seed), fits)
     signal_core.write_record_csv(out_dir / "augmented.csv", replace(record, leads=leads))
 
 
@@ -372,7 +386,10 @@ def cmd_pretrain(c: _Config, out_dir: Path, seed: int):
         train_harness.PretrainConfig, c.pretrain, "pretrain",
         method=c.method, augmentation=c.augmentation, seed=seed,
     )
-    spec = dict(dataset=c.dataset, **{k: getattr(c, k) for k in _INHERITED if k != "encoder"})
+    # an augmentation that cannot apply to windows this long fails before the data load
+    window = np.zeros((1, 1, c.window_len))
+    _augment(window, c.augmentation, augment.RngStream(0), f"window_len {c.window_len}")
+    spec = {k: getattr(c, k) for k in _SPEC_FIELDS}
     split = _load_windows(c.dataset, spec, c.fractions, seed)
     leads = split.train[0].data.shape[0]
     encoder = _read(EncoderConfig, {"n_leads": leads, **c.encoder}, "encoder")

@@ -164,16 +164,12 @@ def _batches(order, size, min_size=1):
             yield order[start : start + size]
 
 
-def _make_view_batches(X, idx, spec, rng: RngStream):
-    batch = X[idx]
-    return apply_augmentation(batch, spec, rng), apply_augmentation(batch, spec, rng)
-
-
 # ---------------------------------------------------------------------------
 # the SSL methods: each set-up takes (config, enc_cfg, params) and returns
-# (batch loss of two view batches, trainable params, hook run after each
-# Adam step). The hooks and losses name the module's functions, which are
-# looked up when called: a wrapper set on the module attribute sees each call.
+# (batch loss, which takes a batch's pair of augmented views; trainable
+# params; hook run after each Adam step). The hooks and losses name the
+# module's functions, which are looked up when called: a wrapper set on the
+# module attribute sees each call.
 
 # every pretraining parameter but the BYOL predictor (pred.*)
 _ONLINE = ("conv", "embed.", "proj.")
@@ -184,8 +180,8 @@ def _project(params, enc_cfg, v):
 
 
 def _simclr(config, enc_cfg, params):
-    def batch_loss(v1, v2):
-        z1, z2 = _project(params, enc_cfg, v1), _project(params, enc_cfg, v2)
+    def batch_loss(views):
+        z1, z2 = (_project(params, enc_cfg, v) for v in views)
         return nt_xent_loss(ViewBatchEmbeddings(z1, z2, config.temperature))
 
     return batch_loss, params.subset(_ONLINE), lambda: None
@@ -194,8 +190,8 @@ def _simclr(config, enc_cfg, params):
 def _byol(config, enc_cfg, params):
     target = params.copy()
 
-    def batch_loss(v1, v2):
-        return byol_symmetric_loss(v1, v2, params, target, enc_cfg)
+    def batch_loss(views):
+        return byol_symmetric_loss(*views, params, target, enc_cfg)
 
     return batch_loss, params, lambda: ema_update(target, params, config.ema_decay)
 
@@ -203,8 +199,8 @@ def _byol(config, enc_cfg, params):
 def _swav(config, enc_cfg, params):
     bank = PrototypeBank(config.n_prototypes, enc_cfg.projection_dim, config.seed + 1)
 
-    def batch_loss(v1, v2):
-        z1, z2 = _project(params, enc_cfg, v1), _project(params, enc_cfg, v2)
+    def batch_loss(views):
+        z1, z2 = (_project(params, enc_cfg, v) for v in views)
         return swav_loss(
             z1,
             z2,
@@ -223,14 +219,18 @@ _SSL = {"SimCLR": (_simclr, 2), "BYOL": (_byol, 1), "SwAV": (_swav, 2)}
 METHODS = tuple(_SSL)
 
 
-def _fit(config, stream, n, batch_losses, model, trainable, validate):
-    """The epoch loop of `pretrain` and `finetune`.
+def _fit(
+    config, stream, n, batches, batch_loss, after_step, model, trainable, validate
+):
+    """The epoch loop of `pretrain` and `finetune`; every training step runs here.
 
     Epoch e visits the n training indices in an order drawn from child-seed
-    stream `stream`; `batch_losses(e, order)` yields one loss per batch,
-    and each gets one Adam step over `trainable`. `validate(e)` returns
-    (val_loss, val_macro_f1 or None, score). Returns (a copy of `model` at
-    the epoch of highest score, the earliest on ties; that score; log).
+    stream `stream`; `batches(e, order)` yields each batch's inputs. A step
+    is `batch_loss(inputs)`, its backward pass, one Adam step over
+    `trainable` (which clears their gradients), then `after_step()`.
+    `validate(e)` returns (val_loss, val_macro_f1 or None, score). Returns
+    (a copy of `model` at the epoch of highest score, the earliest on ties;
+    that score; log).
     """
     adam = AdamState(lr=config.lr, weight_decay=config.weight_decay)
     log = TrainingLog()
@@ -241,21 +241,15 @@ def _fit(config, stream, n, batch_losses, model, trainable, validate):
             _child_seed(config.seed, epoch, stream)
         ).permutation(n)
         losses = []
-        for loss in batch_losses(epoch, order):
+        for inputs in batches(epoch, order):
+            loss = batch_loss(inputs)
             loss.backward()
             adam_step(adam, trainable)
-            model.zero_grads()
+            after_step()
             losses.append(float(loss.data))
         val_loss, val_f1, score = validate(epoch)
-        log.entries.append(
-            LogEntry(
-                epoch,
-                float(np.mean(losses)),
-                val_loss,
-                val_f1,
-                wall_seconds=time.perf_counter() - t0,
-            )
-        )
+        train_loss, wall = float(np.mean(losses)), time.perf_counter() - t0
+        log.entries.append(LogEntry(epoch, train_loss, val_loss, val_f1, wall))
         if score > best_score:
             best, best_score = model.copy(), score
     return best, best_score, log
@@ -273,32 +267,34 @@ def pretrain(config: PretrainConfig, split, enc_cfg: EncoderConfig):
         )
     X, X_val = _stack(split.train), _stack(split.validation)
     if config.batch_size > len(X):
-        raise ValueError("batch_size exceeds training set size")
+        raise ValueError(
+            f"batch_size {config.batch_size} exceeds the {len(X)} training windows"
+        )
 
     params = init_encoder_params(enc_cfg, config.seed)
     batch_loss, trainable, after_step = set_up(config, enc_cfg, params)
 
-    def view_losses(data, order, rng):
+    def views(epoch, order, data=X, stream=2):
+        """Each batch's pair of augmented views, drawn from the epoch's
+        child-seed stream `stream` (2 for training, 3 for validation)."""
+        rng = RngStream(_child_seed(config.seed, epoch, stream))
+        spec = config.augmentation
         for idx in _batches(order, config.batch_size, min_batch):
-            yield batch_loss(*_make_view_batches(data, idx, config.augmentation, rng))
-
-    def train_losses(epoch, order):
-        rng = RngStream(_child_seed(config.seed, epoch, 2))
-        for loss in view_losses(X, order, rng):
-            yield loss
-            after_step()  # resumed after the loop's Adam step
+            batch = data[idx]
+            yield (
+                apply_augmentation(batch, spec, rng),
+                apply_augmentation(batch, spec, rng),
+            )
 
     def validate(epoch):
-        rng = RngStream(_child_seed(config.seed, epoch, 3))
         with no_grad():
-            losses = [
-                float(loss.data)
-                for loss in view_losses(X_val, np.arange(len(X_val)), rng)
-            ]
-        val_loss = float(np.mean(losses))
+            pairs = views(epoch, np.arange(len(X_val)), X_val, 3)
+            val_loss = float(np.mean([float(batch_loss(v).data) for v in pairs]))
         return val_loss, None, -val_loss
 
-    best, _, log = _fit(config, 1, len(X), train_losses, params, trainable, validate)
+    best, _, log = _fit(
+        config, 1, len(X), views, batch_loss, after_step, params, trainable, validate
+    )
     return best, log
 
 
@@ -338,13 +334,12 @@ def finetune(
         H = (H - mu) / sd
         H_val = (encode(params, enc_cfg, X_val) - mu) / sd
 
-    def train_losses(epoch, order):
-        for idx in _batches(order, config.batch_size):
-            if config.freeze_encoder:
-                h = Tensor(H[idx])
-            else:
-                h = forward_encoder(params, enc_cfg, X[idx])
-            yield bce_with_logits(forward_head(model, h), Y[idx])
+    def batch_loss(idx):
+        if config.freeze_encoder:
+            h = Tensor(H[idx])
+        else:
+            h = forward_encoder(params, enc_cfg, X[idx])
+        return bce_with_logits(forward_head(model, h), Y[idx])
 
     def validate(epoch):
         h = H_val if config.freeze_encoder else encode(params, enc_cfg, X_val)
@@ -361,7 +356,8 @@ def finetune(
         init_model, init_f1 = model.copy(), validate(None)[1]
     trainable = head if config.freeze_encoder else model
     best, best_f1, log = _fit(
-        config, 4, len(X), train_losses, model, trainable, validate
+        config, 4, len(X), lambda epoch, order: _batches(order, config.batch_size),
+        batch_loss, lambda: None, model, trainable, validate,
     )
     if init_head is not None and init_f1 > best_f1:
         best = init_model

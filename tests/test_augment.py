@@ -390,6 +390,13 @@ def test_time_warp_window_too_short_for_its_stretch_rejected():
         ag.time_warp(np.ones((8, 1, 23)), 5, 60.0, ag.RngStream(0))
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_time_warp_window_too_short_rejected_on_every_draw(seed):
+    # one window, so its own draw of the stretched segments decides
+    with pytest.raises(ValueError, match="23-sample window .* w = 5 and r_pct = 60"):
+        ag.time_warp(np.ones((1, 1, 23)), 5, 60.0, ag.RngStream(seed))
+
+
 def test_batch_too_short_for_time_warp_rejected():
     with pytest.raises(ValueError, match="window too short"):
         ag.time_warp(np.ones((4, 2, 5)), 3, 10.0, ag.RngStream(0))

@@ -265,6 +265,29 @@ class TestLineval:
             assert message in err and len(err.strip().splitlines()) == 1
 
 
+    @pytest.mark.parametrize(
+        "key, value, named",
+        [
+            ("window_len", "250", "spec.window_len must be an integer"),
+            ("window_len", 250.0, "spec.window_len must be an integer"),
+            ("target_hz", "100", "spec.target_hz must be a number"),
+            ("standardize_windows", "no", "spec.standardize_windows must be true or false"),
+        ],
+    )
+    def test_checkpoint_spec_of_wrong_type_is_data_error(
+        self, key, value, named, data_dir, pretrain_dir, tmp_path, capsys
+    ):
+        params, spec = load_checkpoint(pretrain_dir / "checkpoint.ckpt")
+        ckpt = tmp_path / "bad.ckpt"
+        save_checkpoint(ckpt, params, dict(spec, **{key: value}))
+        cfg = write_config(
+            tmp_path / "lin.json", {"dataset": str(data_dir / "cohortA"), "checkpoint": str(ckpt)}
+        )
+        assert run("lineval", cfg, tmp_path / "out") == 3
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and f"checkpoint {ckpt}: {named}" in lines[0], lines
+
+
 class TestFinetune:
     def test_smoke(self, data_dir, pretrain_dir, tmp_path):
         cfg = write_config(
@@ -637,6 +660,24 @@ BAD_CONFIGS = {
         "pretrain",
         lambda d, c: pre(d, augmentation={"kind": "TimeWarping", "params": {"w": 2, "r_pct": 150}}),
         "r_pct must be below 100 for w = 2",
+    ),
+    # a warp that cannot fit the window, refused before the data load
+    "time-warp-more-segments-than-window": (
+        "pretrain",
+        lambda d, c: pre(d, augmentation={"kind": "TimeWarping", "params": {"w": 200, "r_pct": 10}}),
+        "TimeWarping does not fit window_len 250",
+    ),
+    "time-warp-squeeze-below-one-sample": (
+        "pretrain",
+        lambda d, c: pre(
+            d, window_len=23, augmentation={"kind": "TimeWarping", "params": {"w": 5, "r_pct": 60}}
+        ),
+        "TimeWarping does not fit window_len 23",
+    ),
+    "time-warp-more-segments-than-record": (
+        "augment-preview",
+        lambda d, c: preview(d, "TimeWarping", {"w": 1000, "r_pct": 10}),
+        "TimeWarping does not fit the record's 640 samples",
     ),
 }
 

@@ -5,6 +5,7 @@ from ecgssl import diffcore as dc
 from ecgssl import train_harness as th
 from ecgssl.augment import AugmentationSpec
 from ecgssl.signal_core import DatasetSplit, LabelSet, Window
+from ecgssl.ssl_objectives import PrototypeBank
 
 CLASSES = ("slow", "fast")
 
@@ -130,8 +131,31 @@ class TestPretrain:
         split = make_split(np.random.default_rng(4), n_train=4)
         cfg = quick_pretrain_cfg("SimCLR")
         cfg.batch_size = 64
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="batch_size 64 exceeds the 4 training windows"):
             th.pretrain(cfg, split, tiny_cfg())
+
+    @pytest.mark.parametrize(
+        "method, hook",
+        [("BYOL", (th, "ema_update")), ("SwAV", (PrototypeBank, "renormalize"))],
+        ids=["BYOL-ema_update", "SwAV-renormalize"],
+    )
+    def test_hook_runs_once_after_each_adam_step(self, method, hook, monkeypatch):
+        calls = []
+
+        def record(owner, name, tag):
+            original = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(tag)
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        record(th, "adam_step", "adam")
+        record(*hook, "hook")
+        # 24 training windows in batches of 8, for 2 epochs
+        th.pretrain(quick_pretrain_cfg(method), make_split(np.random.default_rng(0)), tiny_cfg())
+        assert calls == ["adam", "hook"] * 3 * 2
 
 
 class TestFinetune:

@@ -15,7 +15,13 @@ the same lines exactly when their outputs are byte-identical:
 - lineval and finetune of every checkpoint on its own cohort, lineval of the
   1-lead ones on the twin, distshift of the 1-lead ones against the twin,
   and report over all runs;
-- in-process F1 and AUC on tie-heavy scores, written as `inproc/metrics.txt`.
+- in-process F1 and AUC on tie-heavy scores, written as `inproc/metrics.txt`;
+- in-process `pretrain` of SimCLR, BYOL and SwAV with GaussianNoise and with
+  Combination on a fixed small split, and from each encoder a frozen probe,
+  full fine-tuning and a fine-tuning warm-started from the probe's head:
+  the SHA-256 of every float64 parameter they return and the repr of their
+  logged losses, written as `inproc/train.txt`. The CLI chain sees the
+  parameters only through float32 checkpoints.
 
 Compare two checkouts with `diff <(python tools/digests.py a/src)
 <(python tools/digests.py b/src)`.
@@ -58,6 +64,41 @@ for n, decimals in ((7, 1), (40, 1), (40, 2), (300, 2)):
     print(per_class.tobytes().hex(), repr(macro))
     print(metrics.per_class_f1(pred).tobytes().hex(),
           repr(metrics.macro_f1(pred)), repr(metrics.micro_f1(pred)))
+"""
+
+# every training path of train_harness on a tiny encoder, a few seconds in all
+TRAIN = """
+import hashlib
+from ecgssl import signal_core, train_harness as th
+from ecgssl.augment import AugmentationSpec
+from ecgssl.diffcore import EncoderConfig
+records = [r for j, c in enumerate(signal_core.SYNTH_CLASSES) for r in signal_core.generate_synthetic(
+    signal_core.SyntheticEcgConfig(n_subjects=2, class_id=c, beats_per_record=8, seed=11 + j))]
+split = signal_core.split_by_subject(records, (0.5, 0.25, 0.25), 3)
+split = signal_core.split_windows(split, 80, standardize=True)
+enc = EncoderConfig(n_leads=1, conv_blocks=((4, 5, 2), (8, 5, 2)), embedding_dim=8,
+                    projection_dim=4, prediction_hidden=4)
+
+def show(case, params, log):
+    print(case)
+    for name in params.names():
+        data = params[name].data
+        assert data.dtype == "float64", (case, name, data.dtype)
+        print(" ", name, hashlib.sha256(data.tobytes()).hexdigest())
+    print(" ", repr([(e.train_loss, e.val_loss, e.val_macro_f1) for e in log.entries]))
+
+for method in th.METHODS:
+    for kind, params in (("GaussianNoise", {"sigma": 0.5}), ("Combination", {})):
+        pc = th.PretrainConfig(method=method, augmentation=AugmentationSpec(kind, params),
+                               epochs=2, batch_size=8, seed=5, n_prototypes=4)
+        encoder, log = th.pretrain(pc, split, enc)
+        show(f"pretrain {method} {kind}", encoder, log)
+        runs = (("frozen", True, None), ("unfrozen", False, None), ("warm", False, "frozen"))
+        models = {}
+        for name, freeze, warm in runs:
+            fc = th.FinetuneConfig(epochs=2, batch_size=8, freeze_encoder=freeze, seed=5)
+            models[name], log = th.finetune(encoder, fc, split, enc, init_head=models.get(warm))
+            show(f"finetune {method} {kind} {name}", models[name], log)
 """
 
 
@@ -105,6 +146,9 @@ def main(argv) -> int:
     done = subprocess.run([sys.executable, "-c", INPROC], env=env,
                           capture_output=True, text=True, check=True)
     (WORK / "inproc" / "metrics.txt").write_text(done.stdout)
+    done = subprocess.run([sys.executable, "-c", TRAIN], env=env,
+                          capture_output=True, text=True, check=True)
+    (WORK / "inproc" / "train.txt").write_text(done.stdout)
 
     for path in sorted(p for p in WORK.rglob("*") if p.is_file()):
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
