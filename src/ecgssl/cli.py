@@ -386,9 +386,15 @@ def cmd_pretrain(c: _Config, out_dir: Path, seed: int):
         train_harness.PretrainConfig, c.pretrain, "pretrain",
         method=c.method, augmentation=c.augmentation, seed=seed,
     )
-    # an augmentation that cannot apply to windows this long fails before the data load
-    window = np.zeros((1, 1, c.window_len))
-    _augment(window, c.augmentation, augment.RngStream(0), f"window_len {c.window_len}")
+    # an augmentation that cannot apply to windows this long fails before the
+    # data load; a Combination is checked on every recipe its draws may pick
+    window, fits = np.zeros((1, 1, c.window_len)), f"window_len {c.window_len}"
+    recipes = [c.augmentation]
+    if c.augmentation.kind == "Combination":
+        recipes = [AugmentationSpec(*recipe) for recipe in augment.COMBINATION_POOL]
+        fits += " in Combination"
+    for recipe in recipes:
+        _augment(window, recipe, augment.RngStream(0), fits)
     spec = {k: getattr(c, k) for k in _SPEC_FIELDS}
     split = _load_windows(c.dataset, spec, c.fractions, seed)
     leads = split.train[0].data.shape[0]

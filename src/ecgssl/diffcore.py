@@ -48,13 +48,6 @@ __all__ = [
 ]
 
 
-def _as_array(x) -> np.ndarray:
-    a = np.asarray(x, dtype=np.float64)
-    if not np.all(np.isfinite(a)):
-        raise ValueError("non-finite values in tensor data")
-    return a
-
-
 class _TapeState(threading.local):
     recording = True
 
@@ -109,12 +102,19 @@ class Tensor:
     An op's result is taped (keeps its parents and backward) only when a
     gradient flows through it: some parent requires one and `no_grad` is
     off. So `requires_grad` alone says whether a tensor takes a gradient.
+
+    Finiteness is checked where values enter: a leaf (data, a parameter, a
+    lifted constant) with a NaN or an infinity raises ValueError. An op's
+    result is not checked; the training loop checks each step's loss and
+    gradients instead.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad=False, _parents=(), _backward=None):
-        self.data = _as_array(data)
+        self.data = np.asarray(data, dtype=np.float64)
+        if not (_parents or np.all(np.isfinite(self.data))):
+            raise ValueError("non-finite values in tensor data")
         self.grad = None
         if not (_TAPE.recording and any(p.requires_grad for p in _parents)):
             _parents, _backward = (), None
@@ -305,11 +305,14 @@ def _im2col(xp: np.ndarray, k: int, stride: int) -> np.ndarray:
     return win.transpose(0, 1, 3, 2).reshape(B * win.shape[1], k * c_in)
 
 
-def conv1d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1) -> Tensor:
+def conv1d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, relu: bool = False) -> Tensor:
     """1-D convolution with 'same'-style zero padding of k//2 per side.
 
     x: (B, C_in, L); w: (C_out, C_in, k); b: (C_out,).
     Output length is floor((L + 2*(k//2) - k) / stride) + 1.
+    With `relu`, the output is max(conv, 0) as one tape node, the same bytes
+    as `conv1d(x, w, b, stride).relu()`: the GEMM output is masked in place,
+    and only the mask is kept for the backward.
 
     im2col plus one matmul each way, on a time-major copy of the padded
     input; the output is a (B, C_out, out_len) view of time-major memory,
@@ -329,10 +332,15 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1) -> Tensor:
     w2 = w.data.transpose(0, 2, 1).reshape(c_out, k * c_in)
     out = _im2col(xp, k, stride) @ w2.T
     out += b.data
+    if relu:
+        mask = out > 0  # subgradient at 0 is 0
+        out *= mask
     out = out.reshape(B, out_len, c_out).transpose(0, 2, 1)
 
     def bwd(g):
         g2 = g.transpose(0, 2, 1).reshape(B * out_len, c_out)
+        if relu:
+            g2 = g2 * mask
         gw = g2.T @ _im2col(xp, k, stride)
         w._accum(gw.reshape(c_out, k, c_in).transpose(0, 2, 1))
         b._accum(g2.sum(axis=0))
@@ -507,15 +515,15 @@ def init_head_params(cfg: EncoderConfig, n_classes: int, seed: int) -> ModelPara
 
 
 def forward_encoder(params: ModelParams, cfg: EncoderConfig, batch) -> Tensor:
-    """Conv blocks -> ReLU, global average pool over time, dense embedding."""
+    """Conv blocks with ReLU (one tape node each), global average pool over
+    time, dense embedding."""
     x = Tensor._lift(batch)
     if x.data.ndim != 3 or x.data.shape[1] != cfg.n_leads:
         raise ValueError(
             f"expected batch of shape (B, {cfg.n_leads}, L), got {x.data.shape}"
         )
     for i, (_c_out, _k, stride) in enumerate(cfg.conv_blocks):
-        x = conv1d(x, params[f"conv{i}.weight"], params[f"conv{i}.bias"], stride)
-        x = x.relu()
+        x = conv1d(x, params[f"conv{i}.weight"], params[f"conv{i}.bias"], stride, relu=True)
     h = global_avg_pool(x)
     return dense(h, params["embed.weight"], params["embed.bias"])
 

@@ -231,6 +231,11 @@ def _fit(
     `validate(e)` returns (val_loss, val_macro_f1 or None, score). Returns
     (a copy of `model` at the epoch of highest score, the earliest on ties;
     that score; log).
+
+    A non-finite loss or trainable gradient raises ValueError naming the
+    epoch and the step (both counted from 0), before the Adam step could
+    write it into the parameters; so does a non-finite validation loss,
+    naming the epoch.
     """
     adam = AdamState(lr=config.lr, weight_decay=config.weight_decay)
     log = TrainingLog()
@@ -241,13 +246,22 @@ def _fit(
             _child_seed(config.seed, epoch, stream)
         ).permutation(n)
         losses = []
-        for inputs in batches(epoch, order):
+        for step, inputs in enumerate(batches(epoch, order)):
             loss = batch_loss(inputs)
+            if not np.isfinite(loss.data):
+                raise ValueError(f"non-finite training loss at epoch {epoch}, step {step}")
             loss.backward()
+            for name, p in trainable.params.items():
+                if p.grad is not None and not np.all(np.isfinite(p.grad)):
+                    raise ValueError(
+                        f"non-finite gradient of {name} at epoch {epoch}, step {step}"
+                    )
             adam_step(adam, trainable)
             after_step()
             losses.append(float(loss.data))
         val_loss, val_f1, score = validate(epoch)
+        if not np.isfinite(val_loss):
+            raise ValueError(f"non-finite validation loss at epoch {epoch}")
         train_loss, wall = float(np.mean(losses)), time.perf_counter() - t0
         log.entries.append(LogEntry(epoch, train_loss, val_loss, val_f1, wall))
         if score > best_score:

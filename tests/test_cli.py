@@ -674,6 +674,15 @@ BAD_CONFIGS = {
         ),
         "TimeWarping does not fit window_len 23",
     ),
+    # every recipe of Combination's pool, not only those one draw picks
+    "combination-time-warp-beyond-window": (
+        "pretrain",
+        lambda d, c: pre(
+            d, window_len=1, encoder={"conv_blocks": [[4, 1, 1]]},
+            augmentation={"kind": "Combination", "params": {}},
+        ),
+        "TimeWarping does not fit window_len 1 in Combination",
+    ),
     "time-warp-more-segments-than-record": (
         "augment-preview",
         lambda d, c: preview(d, "TimeWarping", {"w": 1000, "r_pct": 10}),
@@ -759,6 +768,28 @@ def test_out_of_memory_exits_4_with_one_line(tmp_path, capsys, monkeypatch):
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
     assert manifest["status"] == "failed" and manifest["exit_code"] == 4
     assert manifest["error"] == line
+
+
+@pytest.mark.parametrize("command", ["pretrain", "finetune"])
+def test_nonfinite_training_step_exits_4_with_one_line(
+    command, data_dir, pretrain_dir, tmp_path, capsys, monkeypatch
+):
+    adam_step = th.adam_step
+
+    def poisoned(state, params):  # so the second step's loss is NaN
+        adam_step(state, params)
+        params["conv0.weight"].data[0] = np.nan
+
+    monkeypatch.setattr(th, "adam_step", poisoned)
+    if command == "pretrain":
+        config = pre(data_dir, pretrain={"epochs": 1, "batch_size": 8})
+    else:
+        config = lin(data_dir, pretrain_dir / "checkpoint.ckpt", finetune={"batch_size": 8})
+    code, line = run_failing(command, config, tmp_path, capsys)
+    assert code == 4, line
+    assert line == "runtime error: non-finite training loss at epoch 0, step 1", line
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["exit_code"] == 4 and manifest["error"] == line
 
 
 # case -> (file kind, bytes kept)

@@ -170,11 +170,16 @@ def _conv1d_per_tap(x, w, b, stride, r):
     return out, gxp[:, :, pad : pad + L], gw, r.sum(axis=(0, 2))
 
 
+def _conv_grid(test):
+    """Parametrize `test` over stride, kernel, input channels and length."""
+    test = pytest.mark.parametrize("stride", [1, 2, 3])(test)
+    test = pytest.mark.parametrize("k", [1, 3, 5, 7])(test)
+    test = pytest.mark.parametrize("c_in", [1, 3])(test)
+    return pytest.mark.parametrize("L", [17, 16, 2])(test)  # odd, even, shorter than k
+
+
 class TestConv1dAgainstPerTapLoop:
-    @pytest.mark.parametrize("L", [17, 16, 2])  # odd, even, shorter than k
-    @pytest.mark.parametrize("c_in", [1, 3])
-    @pytest.mark.parametrize("k", [1, 3, 5, 7])
-    @pytest.mark.parametrize("stride", [1, 2, 3])
+    @_conv_grid
     def test_forward_and_gradients(self, rng, stride, k, c_in, L):
         x = t(rng.standard_normal((2, c_in, L)))
         w = t(rng.standard_normal((4, c_in, k)))
@@ -186,6 +191,22 @@ class TestConv1dAgainstPerTapLoop:
         for got, ref in zip((out.data, x.grad, w.grad, b.grad), want):
             assert got.shape == ref.shape
             assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    @_conv_grid
+    def test_fused_relu_same_bytes_as_relu_node(self, rng, stride, k, c_in, L):
+        data = [rng.standard_normal(shape) for shape in ((2, c_in, L), (4, c_in, k), (4,))]
+        r = rng.standard_normal((2, 4, (L - 1) // stride + 1))
+
+        def run(fused):
+            x, w, b = (t(a) for a in data)
+            # the input is one op from the leaf, as in a deeper block, so
+            # its gradient is computed
+            conv = dc.conv1d(x * 1.0, w, b, stride, relu=fused)
+            out = conv if fused else conv.relu()
+            (out * r).sum().backward()
+            return [a.tobytes() for a in (out.data, x.grad, w.grad, b.grad)]
+
+        assert run(True) == run(False)
 
 
 class TestNoGrad:
@@ -344,6 +365,20 @@ class TestEncoder:
         x = np.abs(np.random.default_rng(1).standard_normal((3, 1, 10)))
         out = dc.forward_encoder(params, cfg, x)
         np.testing.assert_allclose(out.data, np.tile(x.mean(axis=2), (1, 2)))
+
+    def test_one_tape_node_per_conv_block(self, rng):
+        cfg = dc.EncoderConfig()
+        params = dc.init_encoder_params(cfg, seed=0)
+        h = dc.forward_encoder(params, cfg, rng.standard_normal((3, 1, 40)))
+        topo = []
+        dc._topo_visit(h, set(), topo)
+        nodes = [n for n in topo if n._parents]
+        # the blocks, then the pool (sum, times 1/n) and the dense layer
+        # (matmul, plus bias)
+        assert len(nodes) == len(cfg.conv_blocks) + 4
+        for i, node in enumerate(nodes[: len(cfg.conv_blocks)]):
+            assert node._parents[1] is params[f"conv{i}.weight"]
+            assert i == 0 or node._parents[0] is nodes[i - 1]
 
     def test_shape_mismatch_rejected(self):
         cfg = self.small_cfg()

@@ -256,6 +256,64 @@ class TestFinetune:
         ]
 
 
+def poison_after_adam_step(monkeypatch, name, step):
+    """Write a NaN into parameter `name` right after Adam step `step` (from 1)."""
+    calls = []
+    adam_step = th.adam_step
+
+    def poisoned(state, params):
+        adam_step(state, params)
+        calls.append(None)
+        if len(calls) == step:
+            params[name].data[0] = np.nan
+
+    monkeypatch.setattr(th, "adam_step", poisoned)
+
+
+def pretrain_simclr():
+    # 24 training windows in batches of 8: three steps an epoch
+    th.pretrain(quick_pretrain_cfg("SimCLR"), make_split(np.random.default_rng(0)), tiny_cfg())
+
+
+class TestNonFiniteStep:
+    def test_pretrain_loss_names_epoch_and_step(self, monkeypatch):
+        poison_after_adam_step(monkeypatch, "conv0.weight", 1)
+        with pytest.raises(ValueError, match="^non-finite training loss at epoch 0, step 1$"):
+            pretrain_simclr()
+
+    def test_pretrain_validation_loss_names_epoch(self, monkeypatch):
+        poison_after_adam_step(monkeypatch, "embed.bias", 3)
+        with pytest.raises(ValueError, match="^non-finite validation loss at epoch 0$"):
+            pretrain_simclr()
+
+    def test_gradient_names_parameter_epoch_and_step(self, monkeypatch):
+        params = dc.init_encoder_params(tiny_cfg(), quick_pretrain_cfg("SimCLR").seed)
+        monkeypatch.setattr(th, "init_encoder_params", lambda cfg, seed: params)
+        backward = dc.Tensor.backward
+        calls = []
+
+        def poisoned(loss):
+            backward(loss)
+            calls.append(None)
+            if len(calls) == 5:  # epoch 1, step 1
+                params["proj.fc2.bias"].grad[0] = np.inf
+
+        monkeypatch.setattr(dc.Tensor, "backward", poisoned)
+        with pytest.raises(
+            ValueError, match="^non-finite gradient of proj.fc2.bias at epoch 1, step 1$"
+        ):
+            pretrain_simclr()
+
+    @pytest.mark.parametrize("freeze, name", [(False, "conv0.weight"), (True, "head.weight")])
+    def test_finetune_loss_names_epoch_and_step(self, monkeypatch, freeze, name):
+        cfg = tiny_cfg()
+        pretrained = dc.init_encoder_params(cfg, seed=0)
+        config = th.FinetuneConfig(epochs=2, batch_size=8, freeze_encoder=freeze)
+        poison_after_adam_step(monkeypatch, name, 2)
+        with pytest.raises(ValueError, match="^non-finite training loss at epoch 0, step 2$"):
+            th.finetune(pretrained, config, make_split(np.random.default_rng(0)), cfg)
+
+
 class TestLinearEval:
     def test_separable_task_high_f1(self):
         cfg = tiny_cfg()

@@ -20,8 +20,9 @@ the same lines exactly when their outputs are byte-identical:
   Combination on a fixed small split, and from each encoder a frozen probe,
   full fine-tuning and a fine-tuning warm-started from the probe's head:
   the SHA-256 of every float64 parameter they return and the repr of their
-  logged losses, written as `inproc/train.txt`. The CLI chain sees the
-  parameters only through float32 checkpoints.
+  logged losses, written as `inproc/train.txt`, which also holds one epoch
+  of SimCLR on the default encoder at batch size 32 and 250-sample windows.
+  The CLI chain sees the parameters only through float32 checkpoints.
 
 Compare two checkouts with `diff <(python tools/digests.py a/src)
 <(python tools/digests.py b/src)`.
@@ -66,7 +67,8 @@ for n, decimals in ((7, 1), (40, 1), (40, 2), (300, 2)):
           repr(metrics.macro_f1(pred)), repr(metrics.micro_f1(pred)))
 """
 
-# every training path of train_harness on a tiny encoder, a few seconds in all
+# every training path of train_harness on a tiny encoder, and the default
+# encoder once; a few seconds in all
 TRAIN = """
 import hashlib
 from ecgssl import signal_core, train_harness as th
@@ -99,6 +101,15 @@ for method in th.METHODS:
             fc = th.FinetuneConfig(epochs=2, batch_size=8, freeze_encoder=freeze, seed=5)
             models[name], log = th.finetune(encoder, fc, split, enc, init_head=models.get(warm))
             show(f"finetune {method} {kind} {name}", models[name], log)
+
+# the default encoder at the benchmark's ssl-train shapes: 250-sample windows,
+# batches of 32 (66 training windows)
+records = [r for j, c in enumerate(signal_core.SYNTH_CLASSES) for r in signal_core.generate_synthetic(
+    signal_core.SyntheticEcgConfig(n_subjects=7, class_id=c, beats_per_record=12, seed=21 + j))]
+split = signal_core.split_by_subject(records, (0.8, 0.1, 0.1), 3)
+split = signal_core.split_windows(split, 250, standardize=False)
+pc = th.PretrainConfig(method="SimCLR", epochs=1, batch_size=32, seed=5)
+show("pretrain SimCLR default encoder", *th.pretrain(pc, split, EncoderConfig()))
 """
 
 
