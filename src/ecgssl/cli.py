@@ -4,7 +4,8 @@ Subcommands: synth-gen, augment-preview, pretrain, finetune, lineval,
 distshift, report. Structured settings live in a JSON config file; flags
 carry only paths, the seed, and the command. Every output directory gets a
 manifest.json with the seed, a hash of the config that produced it, and the
-run's status, written when the command has finished or failed.
+run's status: "running" from before the command starts, then "ok" or
+"failed" when it ends. A run killed by a signal leaves "running".
 
 The config's schema is the dataclasses: `_Config` for the top level, and
 `PretrainConfig`, `FinetuneConfig`, `EncoderConfig`, `AugmentationSpec` and
@@ -15,7 +16,8 @@ pretrain writes its run spec (method, dataset, preprocessing, encoder) into
 the checkpoint. lineval, finetune and distshift read windows and build the
 encoder from that spec, so a checkpoint is always consumed as it was trained.
 
-Exit codes: 0 success, 2 config error, 3 data error, 4 runtime/numeric error.
+Exit codes: 0 success, 2 config error, 3 data error, 4 runtime/numeric error,
+130 interrupted (Ctrl-C).
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_RUNTIME = 4
+EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports it
 
 
 class ConfigError(Exception):
@@ -208,9 +211,12 @@ def _config_hash(config) -> str:
     ).hexdigest()[:16]
 
 
-def _write_manifest(out_dir: Path, command: str, config, seed, code: int, error):
+def _write_manifest(out_dir: Path, command: str, config, seed, code: int | None, error):
+    """The run's record; `code` None marks a run that has not ended."""
     manifest = dict(command=command, seed=seed, config_hash=_config_hash(config), config=config)
-    if code == EXIT_OK:
+    if code is None:
+        manifest.update(status="running")
+    elif code == EXIT_OK:
         manifest.update(status="ok")
     else:
         manifest.update(status="failed", exit_code=code, error=error)
@@ -537,6 +543,7 @@ def main(argv=None) -> int:
         c.raw = config
         seed = args.seed if args.seed is not None else c.seed
         _need(c, needs)
+        _write_manifest(out_dir, args.command, config, seed, None, None)
         # an overflow or an invalid value is a failed run, not a warning
         with np.errstate(divide="raise", over="raise", invalid="raise"):
             command(c, out_dir, seed)
@@ -550,6 +557,8 @@ def main(argv=None) -> int:
         code, error = EXIT_RUNTIME, f"runtime error: {e}"
     except MemoryError as e:
         code, error = EXIT_RUNTIME, "runtime error: out of memory" + (f": {e}" if str(e) else "")
+    except KeyboardInterrupt:
+        code, error = EXIT_INTERRUPTED, "interrupted"
     print(error, file=sys.stderr)
     # the failure record is best effort: the directory may be what failed
     with contextlib.suppress(OSError):

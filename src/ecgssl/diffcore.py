@@ -22,6 +22,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
+    "NonFiniteError",
     "Tensor",
     "no_grad",
     "concat",
@@ -46,6 +47,11 @@ __all__ = [
     "save_checkpoint",
     "load_checkpoint",
 ]
+
+
+class NonFiniteError(ValueError):
+    """A NaN or an infinity where a finite value must enter: a leaf tensor,
+    or the scores of a Sinkhorn assignment."""
 
 
 class _TapeState(threading.local):
@@ -104,7 +110,7 @@ class Tensor:
     off. So `requires_grad` alone says whether a tensor takes a gradient.
 
     Finiteness is checked where values enter: a leaf (data, a parameter, a
-    lifted constant) with a NaN or an infinity raises ValueError. An op's
+    lifted constant) with a NaN or an infinity raises NonFiniteError. An op's
     result is not checked; the training loop checks each step's loss and
     gradients instead.
     """
@@ -114,7 +120,7 @@ class Tensor:
     def __init__(self, data, requires_grad=False, _parents=(), _backward=None):
         self.data = np.asarray(data, dtype=np.float64)
         if not (_parents or np.all(np.isfinite(self.data))):
-            raise ValueError("non-finite values in tensor data")
+            raise NonFiniteError("non-finite values in tensor data")
         self.grad = None
         if not (_TAPE.recording and any(p.requires_grad for p in _parents)):
             _parents, _backward = (), None
@@ -135,6 +141,10 @@ class Tensor:
     # ---- graph traversal -------------------------------------------------
 
     def backward(self):
+        """Accumulate d(self)/d(leaf) into the `grad` of every leaf that
+        requires one. An op result's gradient is freed as soon as its own
+        backward has used it, so only leaves keep a gradient afterwards, and
+        a second call adds the same gradient again."""
         if self.data.size != 1:
             raise ValueError("backward() requires a scalar loss")
         topo = []
@@ -143,6 +153,7 @@ class Tensor:
         for t in reversed(topo):
             if t._backward is not None:
                 t._backward(t.grad)
+                t.grad = None
 
     # ---- elementwise arithmetic -----------------------------------------
 

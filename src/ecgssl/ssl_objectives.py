@@ -15,6 +15,7 @@ import numpy as np
 
 from .diffcore import (
     ModelParams,
+    NonFiniteError,
     Tensor,
     concat,
     forward_encoder,
@@ -183,7 +184,7 @@ def sinkhorn_knopp(scores, epsilon: float = 0.05, n_iters: int = 3) -> CodeMatri
         raise ValueError("n_iters must be >= 1")
     scores = np.asarray(scores, dtype=np.float64)
     if not np.all(np.isfinite(scores)):
-        raise ValueError("non-finite scores")
+        raise NonFiniteError("non-finite scores")
     b, k = scores.shape
     # subtract the max for overflow safety; cancels in the normalizations
     q = np.exp((scores - scores.max()) / epsilon)

@@ -19,6 +19,7 @@ from .diffcore import (
     AdamState,
     EncoderConfig,
     ModelParams,
+    NonFiniteError,
     Tensor,
     adam_step,
     bce_with_logits,
@@ -235,7 +236,9 @@ def _fit(
     A non-finite loss or trainable gradient raises ValueError naming the
     epoch and the step (both counted from 0), before the Adam step could
     write it into the parameters; so does a non-finite validation loss,
-    naming the epoch.
+    naming the epoch. A loss whose computation stopped at a non-finite value
+    (NonFiniteError: BYOL's target projections, SwAV's Sinkhorn scores)
+    counts as non-finite.
     """
     adam = AdamState(lr=config.lr, weight_decay=config.weight_decay)
     log = TrainingLog()
@@ -247,8 +250,11 @@ def _fit(
         ).permutation(n)
         losses = []
         for step, inputs in enumerate(batches(epoch, order)):
-            loss = batch_loss(inputs)
-            if not np.isfinite(loss.data):
+            try:
+                loss = batch_loss(inputs)
+            except NonFiniteError:  # stopped at a NaN before the loss existed
+                loss = None
+            if loss is None or not np.isfinite(loss.data):
                 raise ValueError(f"non-finite training loss at epoch {epoch}, step {step}")
             loss.backward()
             for name, p in trainable.params.items():
@@ -259,7 +265,10 @@ def _fit(
             adam_step(adam, trainable)
             after_step()
             losses.append(float(loss.data))
-        val_loss, val_f1, score = validate(epoch)
+        try:
+            val_loss, val_f1, score = validate(epoch)
+        except NonFiniteError:
+            val_loss = np.nan
         if not np.isfinite(val_loss):
             raise ValueError(f"non-finite validation loss at epoch {epoch}")
         train_loss, wall = float(np.mean(losses)), time.perf_counter() - t0

@@ -1,9 +1,14 @@
 import contextlib
 import io
 import json
+import os
 import re
+import signal
 import struct
+import subprocess
+import sys
 import tempfile
+import time
 from dataclasses import asdict, fields, is_dataclass
 from pathlib import Path
 from typing import get_args, get_origin
@@ -770,9 +775,15 @@ def test_out_of_memory_exits_4_with_one_line(tmp_path, capsys, monkeypatch):
     assert manifest["error"] == line
 
 
-@pytest.mark.parametrize("command", ["pretrain", "finetune"])
+# BYOL's loss stops at its target projections and SwAV's at the Sinkhorn
+# scores, before any loss value exists
+@pytest.mark.parametrize(
+    "command, method",
+    [("pretrain", "SimCLR"), ("finetune", None), ("pretrain", "BYOL"), ("pretrain", "SwAV")],
+    ids=["pretrain", "finetune", "pretrain-BYOL", "pretrain-SwAV"],
+)
 def test_nonfinite_training_step_exits_4_with_one_line(
-    command, data_dir, pretrain_dir, tmp_path, capsys, monkeypatch
+    command, method, data_dir, pretrain_dir, tmp_path, capsys, monkeypatch
 ):
     adam_step = th.adam_step
 
@@ -782,7 +793,7 @@ def test_nonfinite_training_step_exits_4_with_one_line(
 
     monkeypatch.setattr(th, "adam_step", poisoned)
     if command == "pretrain":
-        config = pre(data_dir, pretrain={"epochs": 1, "batch_size": 8})
+        config = pre(data_dir, method=method, pretrain={"epochs": 1, "batch_size": 8, "n_prototypes": 4})
     else:
         config = lin(data_dir, pretrain_dir / "checkpoint.ckpt", finetune={"batch_size": 8})
     code, line = run_failing(command, config, tmp_path, capsys)
@@ -916,6 +927,60 @@ class TestManifest:
         assert run("augment-preview", bad, out) == 3
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["status"] == "failed" and manifest["exit_code"] == 3
+
+    def test_interrupt_exits_130_with_one_line_and_a_failed_manifest(
+        self, data_dir, pretrain_dir, tmp_path, capsys, monkeypatch
+    ):
+        calls = []
+        adam_step = th.adam_step
+
+        def interrupted(state, params):  # Ctrl-C during the second step
+            calls.append(None)
+            if len(calls) == 2:
+                raise KeyboardInterrupt
+            adam_step(state, params)
+
+        monkeypatch.setattr(th, "adam_step", interrupted)
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "manifest.json").write_bytes((pretrain_dir / "manifest.json").read_bytes())
+        try:
+            code, line = run_failing("pretrain", pre(data_dir, pretrain={"batch_size": 8}), tmp_path, capsys)
+        except KeyboardInterrupt:  # which would end the whole test session
+            pytest.fail("KeyboardInterrupt escaped cli.main")
+        assert (code, line) == (130, "interrupted")
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "failed" and manifest["exit_code"] == 130
+        assert manifest["error"] == "interrupted"
+
+    def test_killed_run_leaves_running_not_an_earlier_ok(self, data_dir, pretrain_dir, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "manifest.json").write_bytes((pretrain_dir / "manifest.json").read_bytes())
+        cfg = write_config(tmp_path / "long.json", pre(data_dir, pretrain={"epochs": 100000, "batch_size": 8}))
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+        child = subprocess.Popen(
+            [sys.executable, "-m", "ecgssl.cli", "pretrain", "--config", str(cfg), "--out", str(out)],
+            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        )
+
+        def status():
+            try:
+                return json.loads((out / "manifest.json").read_text())["status"]
+            except json.JSONDecodeError:  # read while being written
+                return None
+
+        try:
+            # wait until the run has replaced the old manifest, or give up
+            deadline = time.monotonic() + 30
+            while time.monotonic() < deadline and child.poll() is None and status() != "running":
+                time.sleep(0.05)
+            assert child.poll() is None, "the run ended before it was killed"
+        finally:
+            child.send_signal(signal.SIGKILL)
+            child.wait()
+        assert status() == "running"
 
     def test_unreadable_config_still_leaves_a_record(self, tmp_path, capsys):
         assert run("synth-gen", tmp_path / "nope.json", tmp_path / "out") == 2

@@ -6,6 +6,7 @@ import pytest
 
 from conftest import assert_grads_match
 from ecgssl import diffcore as dc
+from ecgssl.ssl_objectives import ViewBatchEmbeddings, nt_xent_loss
 
 
 def t(data, rg=True):
@@ -63,6 +64,69 @@ class TestBackwardBasics:
             gc.enable()
         # the tape held two 8 MB activations and their gradients
         assert live < 1_000_000
+
+
+def _backward_keeping_grads(loss):
+    """`Tensor.backward` without the release: every op result keeps its
+    gradient (the reference for the leaf gradient bytes)."""
+    topo = []
+    dc._topo_visit(loss, set(), topo)
+    loss.grad = np.ones_like(loss.data)
+    for node in reversed(topo):
+        if node._backward is not None:
+            node._backward(node.grad)
+
+
+class TestGradientRelease:
+    def simclr_loss(self, params, cfg, views):
+        z1, z2 = (dc.forward_projection(params, dc.forward_encoder(params, cfg, v)) for v in views)
+        return nt_xent_loss(ViewBatchEmbeddings(z1, z2, 0.5))
+
+    def test_op_results_freed_leaf_gradients_unchanged(self, rng):
+        cfg = dc.EncoderConfig(n_leads=2, conv_blocks=((4, 5, 2), (6, 3, 2)), embedding_dim=8,
+                               projection_dim=4, prediction_hidden=4)
+        views = rng.standard_normal((2, 6, 2, 40))
+        reference = dc.init_encoder_params(cfg, 3)
+        _backward_keeping_grads(self.simclr_loss(reference, cfg, views))
+        params = dc.init_encoder_params(cfg, 3)
+        loss = self.simclr_loss(params, cfg, views)
+        topo = []
+        dc._topo_visit(loss, set(), topo)
+        loss.backward()
+        results = [node for node in topo if node._backward is not None]
+        assert len(results) > 20 and all(node.grad is None for node in results)
+        for name in params.names():
+            want = reference[name].grad
+            got = params[name].grad
+            assert (got is None) == (want is None), name
+            if want is not None:
+                assert got.tobytes() == want.tobytes(), name
+
+    def test_backward_peak_below_four_gradients(self):
+        leaf = t(np.ones(1_000_000))
+        y = leaf
+        for i in range(8):
+            y = y * 1.5 if i % 2 else y + 0.5
+        loss = y.sum()
+        tracemalloc.start()
+        try:
+            loss.backward()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # without the release, every op result held an 8 MB gradient at the end
+        assert peak < 4 * leaf.data.nbytes, peak
+
+    def test_second_backward_adds_the_same_gradient(self, rng):
+        x = t(rng.standard_normal(5))
+        w = t(rng.standard_normal(5))
+        # each leaf enters once, so its gradient is one sum and doubling it is exact
+        loss = (((x * w).exp() * 0.5).log() + 2.0).sum()
+        loss.backward()
+        gx, gw = x.grad.copy(), w.grad.copy()
+        loss.backward()
+        assert x.grad.tobytes() == (2 * gx).tobytes()
+        assert w.grad.tobytes() == (2 * gw).tobytes()
 
 
 class TestFiniteDifferenceOps:

@@ -270,21 +270,32 @@ def poison_after_adam_step(monkeypatch, name, step):
     monkeypatch.setattr(th, "adam_step", poisoned)
 
 
-def pretrain_simclr():
+def pretrain_quick(method="SimCLR"):
     # 24 training windows in batches of 8: three steps an epoch
-    th.pretrain(quick_pretrain_cfg("SimCLR"), make_split(np.random.default_rng(0)), tiny_cfg())
+    th.pretrain(quick_pretrain_cfg(method), make_split(np.random.default_rng(0)), tiny_cfg())
 
 
 class TestNonFiniteStep:
-    def test_pretrain_loss_names_epoch_and_step(self, monkeypatch):
+    # BYOL's loss stops at its target projections and SwAV's at the Sinkhorn
+    # scores, before any loss value exists
+    @pytest.mark.parametrize("method", th.METHODS)
+    def test_pretrain_loss_names_epoch_and_step(self, monkeypatch, method):
         poison_after_adam_step(monkeypatch, "conv0.weight", 1)
         with pytest.raises(ValueError, match="^non-finite training loss at epoch 0, step 1$"):
-            pretrain_simclr()
+            pretrain_quick(method)
+
+    def test_other_loss_errors_pass_through(self, monkeypatch):
+        def mismatched(*args):
+            raise ValueError("shape mismatch between predictor output and target")
+
+        monkeypatch.setattr(th, "byol_symmetric_loss", mismatched)
+        with pytest.raises(ValueError, match="^shape mismatch between predictor output and target$"):
+            pretrain_quick("BYOL")
 
     def test_pretrain_validation_loss_names_epoch(self, monkeypatch):
         poison_after_adam_step(monkeypatch, "embed.bias", 3)
         with pytest.raises(ValueError, match="^non-finite validation loss at epoch 0$"):
-            pretrain_simclr()
+            pretrain_quick()
 
     def test_gradient_names_parameter_epoch_and_step(self, monkeypatch):
         params = dc.init_encoder_params(tiny_cfg(), quick_pretrain_cfg("SimCLR").seed)
@@ -302,7 +313,7 @@ class TestNonFiniteStep:
         with pytest.raises(
             ValueError, match="^non-finite gradient of proj.fc2.bias at epoch 1, step 1$"
         ):
-            pretrain_simclr()
+            pretrain_quick()
 
     @pytest.mark.parametrize("freeze, name", [(False, "conv0.weight"), (True, "head.weight")])
     def test_finetune_loss_names_epoch_and_step(self, monkeypatch, freeze, name):
