@@ -39,7 +39,7 @@ import numpy as np
 
 from . import augment, distshift, metrics, signal_core, train_harness
 from .augment import AugmentationSpec
-from .diffcore import EncoderConfig, load_checkpoint, save_checkpoint
+from .diffcore import EncoderConfig, atomic_open, load_checkpoint, save_checkpoint
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -220,7 +220,7 @@ def _write_manifest(out_dir: Path, command: str, config, seed, code: int | None,
         manifest.update(status="ok")
     else:
         manifest.update(status="failed", exit_code=code, error=error)
-    with open(out_dir / "manifest.json", "w") as f:
+    with atomic_open(out_dir / "manifest.json") as f:
         json.dump(manifest, f, indent=2, sort_keys=True)
 
 
@@ -445,9 +445,9 @@ def _emit_metrics(out_dir: Path, c: _Config, spec, seed, pred):
         "per_class_f1": dict(zip(pred.class_names, per_class.tolist())),
         "auc_skipped_classes": skipped,
     }
-    with open(out_dir / "metrics.json", "w") as f:
+    with atomic_open(out_dir / "metrics.json") as f:
         json.dump(summary, f, indent=2, sort_keys=True)
-    with open(out_dir / "metrics.csv", "w", newline="") as f:
+    with atomic_open(out_dir / "metrics.csv", newline="") as f:
         w = csv.writer(f)
         w.writerow(["class", "metric", "value"])
         w.writerow(["__all__", "macro_f1", repr(summary["metrics"]["macro_f1"])])
@@ -470,10 +470,11 @@ def cmd_distshift(c: _Config, out_dir: Path, seed: int):
         ref_tag=c.dataset_ref,
         other_tag=c.dataset_other,
     )
-    with open(out_dir / "overlap.json", "w") as f:
+    with atomic_open(out_dir / "overlap.json") as f:
         f.write(report.to_json())
     for grid, name in zip(report.grids, ("density_ref.csv", "density_other.csv")):
-        np.savetxt(out_dir / name, grid.density, delimiter=",")
+        with atomic_open(out_dir / name) as f:
+            np.savetxt(f, grid.density, delimiter=",")
 
 
 def _read_metrics(path) -> dict:
@@ -501,11 +502,11 @@ def cmd_report(c: _Config, out_dir: Path, seed: int):
                 rows.append([*run, metric, repr(value)])
         for cls, v in sorted(m.get("per_class_f1", {}).items()):
             per_class_rows.append([*run, cls, repr(v)])
-    with open(out_dir / "report.csv", "w", newline="") as f:
+    with atomic_open(out_dir / "report.csv", newline="") as f:
         w = csv.writer(f)
         w.writerow(["method", "pretrain_set", "test_set", "metric", "value"])
         w.writerows(rows)
-    with open(out_dir / "report_per_class.csv", "w", newline="") as f:
+    with atomic_open(out_dir / "report_per_class.csv", newline="") as f:
         w = csv.writer(f)
         w.writerow(["method", "pretrain_set", "test_set", "class", "f1"])
         w.writerows(per_class_rows)

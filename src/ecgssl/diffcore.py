@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 import threading
 from collections import OrderedDict
@@ -19,7 +20,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 __all__ = [
     "NonFiniteError",
@@ -46,6 +47,7 @@ __all__ = [
     "ema_update",
     "save_checkpoint",
     "load_checkpoint",
+    "atomic_open",
 ]
 
 
@@ -308,12 +310,15 @@ def concat(tensors, axis=0) -> Tensor:
 
 
 def _im2col(xp: np.ndarray, k: int, stride: int) -> np.ndarray:
-    """(B, Lp, C_in) padded input -> (B*out_len, k*C_in) columns; row
-    b*out_len + t holds input times t*stride .. t*stride + k-1, each with
-    every channel, one contiguous block per row."""
-    B, _, c_in = xp.shape
-    win = sliding_window_view(xp, k, axis=1)[:, ::stride]  # (B, out_len, C_in, k)
-    return win.transpose(0, 1, 3, 2).reshape(B * win.shape[1], k * c_in)
+    """(B, Lp, C_in) C-contiguous padded input -> (B*out_len, k*C_in)
+    columns; row b*out_len + t holds input times t*stride .. t*stride + k-1,
+    each with every channel, one contiguous block per row. In C order those
+    k*C_in values are one run of xp, so the windows are one strided view."""
+    B, Lp, c_in = xp.shape
+    out_len = (Lp - k) // stride + 1
+    s0, s1, s2 = xp.strides
+    win = as_strided(xp, (B, out_len, k * c_in), (s0, stride * s1, s2), writeable=False)
+    return win.reshape(B * out_len, k * c_in)
 
 
 def conv1d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, relu: bool = False) -> Tensor:
@@ -323,45 +328,62 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, relu: bool = False)
     Output length is floor((L + 2*(k//2) - k) / stride) + 1.
     With `relu`, the output is max(conv, 0) as one tape node, the same bytes
     as `conv1d(x, w, b, stride).relu()`: the GEMM output is masked in place,
-    and only the mask is kept for the backward.
+    and only the mask is kept for the backward. Under `no_grad` no mask is
+    made; outputs that the mask would turn into -0.0 read +0.0 instead,
+    which no later product or sum tells apart.
 
-    im2col plus one matmul each way, on a time-major copy of the padded
-    input; the output is a (B, C_out, out_len) view of time-major memory,
-    which the next conv copies from without a gather. The backward rebuilds
-    the columns from the padded input rather than keeping them on the tape,
-    which would hold k copies of every conv input for the whole step.
+    The output and the weight gradient are im2col plus one matmul each, on
+    a time-major copy of the padded input; the output is a (B, C_out,
+    out_len) view of time-major memory, which the next conv copies from
+    without a gather. The backward rebuilds the columns from the padded
+    input rather than keeping them on the tape, which would hold k copies of
+    every conv input for the whole step. The input gradient is one product
+    per tap, each added as one contiguous run into a phase-major buffer.
     """
     B, c_in, L = x.data.shape
     c_out, c_in_w, k = w.data.shape
     if c_in_w != c_in:
         raise ValueError(f"conv1d channel mismatch: {c_in_w} != {c_in}")
     pad = k // 2
-    out_len = (L + 2 * pad - k) // stride + 1
-    xp = np.zeros((B, L + 2 * pad, c_in))
+    Lp = L + 2 * pad
+    out_len = (Lp - k) // stride + 1
+    xp = np.empty((B, Lp, c_in))
+    xp[:, :pad] = 0.0
+    xp[:, pad + L :] = 0.0
     xp[:, pad : pad + L] = x.data.transpose(0, 2, 1)
 
     w2 = w.data.transpose(0, 2, 1).reshape(c_out, k * c_in)
     out = _im2col(xp, k, stride) @ w2.T
     out += b.data
-    if relu:
+    if relu and not _TAPE.recording:
+        np.maximum(out, 0.0, out=out)
+    elif relu:
         mask = out > 0  # subgradient at 0 is 0
         out *= mask
     out = out.reshape(B, out_len, c_out).transpose(0, 2, 1)
 
     def bwd(g):
+        # g is this node's own gradient, freed once this backward returns,
+        # so the mask may be applied in place
         g2 = g.transpose(0, 2, 1).reshape(B * out_len, c_out)
         if relu:
-            g2 = g2 * mask
+            g2 *= mask
         gw = g2.T @ _im2col(xp, k, stride)
         w._accum(gw.reshape(c_out, k, c_in).transpose(0, 2, 1))
         b._accum(g2.sum(axis=0))
         if not x.requires_grad:  # the data batch
             return
-        gcols = (g2 @ w2).reshape(B, out_len, k, c_in)
-        gxp = np.zeros_like(xp)
-        span = stride * (out_len - 1) + 1
+        # padded time p = q*stride + r sits at phase r, slot q: tap j of
+        # output t lands at phase j % stride, slot t + j // stride, so each
+        # tap adds one contiguous run, in ascending j from 0.0 as before
+        Q = -(-Lp // stride)
+        gph = np.zeros((B, stride, Q, c_in))
+        gj = np.empty((B, out_len, c_in))  # every tap's product, in turn
         for j in range(k):
-            gxp[:, j : j + span : stride] += gcols[:, :, j]
+            q0 = j // stride
+            np.matmul(g2, w2[:, j * c_in : (j + 1) * c_in], out=gj.reshape(B * out_len, c_in))
+            gph[:, j % stride, q0 : q0 + out_len] += gj
+        gxp = gph.transpose(0, 2, 1, 3).reshape(B, Q * stride, c_in)
         x._accum(gxp[:, pad : pad + L].transpose(0, 2, 1))
 
     return Tensor(out, _parents=(x, w, b), _backward=bwd)
@@ -550,14 +572,13 @@ def encode(params: ModelParams, cfg: EncoderConfig, batch) -> np.ndarray:
     """`forward_encoder(params, cfg, batch).data`, built without a tape in
     ceil(n / ENCODE_CHUNK) chunks whose sizes differ by at most one, so no
     chunk of one or two windows is left over (OpenBLAS gives such small
-    products other bytes than larger ones)."""
+    products other bytes than larger ones). Zero windows run as one empty
+    chunk, which gives a (0, embedding_dim) array."""
     batch = np.asarray(batch, dtype=np.float64)
+    n_chunks = max(1, -(-len(batch) // ENCODE_CHUNK))
     with no_grad():
         return np.concatenate(
-            [
-                forward_encoder(params, cfg, chunk).data
-                for chunk in np.array_split(batch, -(-len(batch) // ENCODE_CHUNK))
-            ]
+            [forward_encoder(params, cfg, chunk).data for chunk in np.array_split(batch, n_chunks)]
         )
 
 
@@ -627,6 +648,24 @@ def ema_update(target: ModelParams, online: ModelParams, decay: float) -> None:
 # ---------------------------------------------------------------------------
 # checkpointing
 
+
+@contextmanager
+def atomic_open(path, mode="w", **kwargs):
+    """`open(path, mode)` for writing, through a temporary file in the same
+    directory that replaces `path` only once the block ends without an
+    exception: a reader, or a run killed mid-write, sees the old file or the
+    new one, never part of one. On an exception the temporary file is
+    removed and `path` is left as it was."""
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, mode, **kwargs) as f:
+            yield f
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):  # only when the block raised
+            os.remove(tmp)
+
+
 _CKPT_MAGIC = b"CKPT"
 _CKPT_VERSION = 2
 
@@ -637,10 +676,11 @@ def save_checkpoint(path, params: ModelParams, spec: dict | None = None):
     Layout (version 2): "CKPT", u32 version, u32 spec_len, spec as utf-8
     JSON with sorted keys (``null`` when there is none), u32 n_params, then
     per parameter (u16 name_len, name utf-8, u32 ndim, u32 dims..., f32 data
-    C-order). The spec is opaque here; the CLI decides what it holds.
+    C-order). The spec is opaque here; the CLI decides what it holds. The
+    file is written whole or not at all (`atomic_open`).
     """
     spec_bytes = json.dumps(spec, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as f:
+    with atomic_open(path, "wb") as f:
         f.write(_CKPT_MAGIC)
         f.write(struct.pack("<II", _CKPT_VERSION, len(spec_bytes)))
         f.write(spec_bytes)

@@ -22,6 +22,7 @@ from .diffcore import (
     NonFiniteError,
     Tensor,
     adam_step,
+    atomic_open,
     bce_with_logits,
     ema_update,
     encode,
@@ -128,8 +129,9 @@ class TrainingLog:
 
     def to_csv(self, path):
         """(epoch, split, metric, value) rows; wall time is deliberately
-        excluded so reruns are byte-identical."""
-        with open(path, "w", newline="") as f:
+        excluded so reruns are byte-identical. Written whole or not at all
+        (`atomic_open`)."""
+        with atomic_open(path, "w", newline="") as f:
             w = csv.writer(f)
             w.writerow(["epoch", "split", "metric", "value"])
             for e in self.entries:
@@ -333,6 +335,8 @@ def finetune(
 
     `init_head` warm-starts the head (probe-then-finetune): pass the
     head.* parameters of a previous frozen-encoder run."""
+    if not split.train:
+        raise ValueError("empty training split")
     if not split.validation:
         raise ValueError("empty validation set: model selection undefined")
     X, (Y, _classes) = _stack(split.train), _labels_matrix(split.train)

@@ -988,6 +988,44 @@ class TestManifest:
         assert manifest["status"] == "failed" and manifest["config"] is None
 
 
+class _Unwritable(float):
+    def __repr__(self):
+        raise OSError("no space left on device")
+
+
+def _write_checkpoint(path, fail):
+    params = init_encoder_params(EncoderConfig(conv_blocks=((2, 3, 1),), embedding_dim=3,
+                                               projection_dim=2, prediction_hidden=2), 0)
+    if fail:  # UTF-8 cannot encode a lone surrogate: raises after the other parameters
+        params.params["\ud800"] = params["conv0.bias"]
+    save_checkpoint(path, params)
+
+
+def _write_log(path, fail):
+    last = _Unwritable(0.5) if fail else 0.5
+    th.TrainingLog([th.LogEntry(0, 1.0, 2.0), th.LogEntry(1, last, 2.0)]).to_csv(path)
+
+
+def _write_manifest(path, fail):
+    # the error is written last and is not in the config hash: json.dump
+    # raises after the other keys are written
+    error = object() if fail else "no records"
+    cli._write_manifest(path.parent, "pretrain", {"seed": 1}, 0, cli.EXIT_DATA, error)
+
+
+@pytest.mark.parametrize("name, write", [
+    ("model.ckpt", _write_checkpoint), ("log.csv", _write_log), ("manifest.json", _write_manifest),
+])
+def test_a_write_that_fails_midway_keeps_the_old_file(tmp_path, name, write):
+    path = tmp_path / name
+    write(path, fail=False)
+    before = path.read_bytes()
+    with pytest.raises((OSError, TypeError, UnicodeEncodeError)):
+        write(path, fail=True)
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == [name]  # no temporary file left behind
+
+
 def test_report_per_class_tells_pretraining_sets_apart(tmp_path):
     runs = tmp_path / "runs"
     for pretrain_set in ("cohortA", "cohortB"):

@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from conftest import assert_grads_match
 from ecgssl import diffcore as dc
@@ -273,6 +274,127 @@ class TestConv1dAgainstPerTapLoop:
         assert run(True) == run(False)
 
 
+def _im2col_window_view(xp, k, stride):
+    """The columns of `dc._im2col`, built from `sliding_window_view`."""
+    B, _, c_in = xp.shape
+    win = sliding_window_view(xp, k, axis=1)[:, ::stride]  # (B, out_len, C_in, k)
+    return win.transpose(0, 1, 3, 2).reshape(B * win.shape[1], k * c_in)
+
+
+def _conv1d_oracle(x, w, b, stride=1, relu=False):
+    """`dc.conv1d` before its strided column view, edge-only padding,
+    in-place masks and per-tap input gradient: one product for the whole
+    input gradient, then k strided adds into a zeroed padded buffer. The new
+    conv1d is held to this one's bytes."""
+    B, c_in, L = x.data.shape
+    c_out, _, k = w.data.shape
+    pad = k // 2
+    out_len = (L + 2 * pad - k) // stride + 1
+    xp = np.zeros((B, L + 2 * pad, c_in))
+    xp[:, pad : pad + L] = x.data.transpose(0, 2, 1)
+    w2 = w.data.transpose(0, 2, 1).reshape(c_out, k * c_in)
+    out = _im2col_window_view(xp, k, stride) @ w2.T
+    out += b.data
+    if relu:
+        mask = out > 0
+        out *= mask
+    out = out.reshape(B, out_len, c_out).transpose(0, 2, 1)
+
+    def bwd(g):
+        g2 = g.transpose(0, 2, 1).reshape(B * out_len, c_out)
+        if relu:
+            g2 = g2 * mask
+        gw = g2.T @ _im2col_window_view(xp, k, stride)
+        w._accum(gw.reshape(c_out, k, c_in).transpose(0, 2, 1))
+        b._accum(g2.sum(axis=0))
+        if not x.requires_grad:
+            return
+        gcols = (g2 @ w2).reshape(B, out_len, k, c_in)
+        gxp = np.zeros_like(xp)
+        span = stride * (out_len - 1) + 1
+        for j in range(k):
+            gxp[:, j : j + span : stride] += gcols[:, :, j]
+        x._accum(gxp[:, pad : pad + L].transpose(0, 2, 1))
+
+    return dc.Tensor(out, _parents=(x, w, b), _backward=bwd)
+
+
+def _conv_bytes(conv, data, r, stride, relu, input_grad=True):
+    """Bytes of the output of `conv` and of the x (None when `input_grad`
+    is off, as for a data batch), w and b gradients of sum(output * r)."""
+    x = t(data[0], rg=input_grad)
+    w, b = t(data[1]), t(data[2])
+    out = conv(x, w, b, stride, relu)
+    (out * r).sum().backward()
+    return [None if a is None else a.tobytes() for a in (out.data, x.grad, w.grad, b.grad)]
+
+
+# the conv blocks of the default encoder and of the criterion-6 encoder as
+# (C_out, C_in, k, stride, L) at 250-sample windows
+ENCODER_BLOCKS = [
+    (16, 1, 7, 2, 250), (32, 16, 7, 2, 125), (64, 32, 7, 2, 63),
+    (8, 1, 7, 2, 250), (16, 8, 7, 2, 125), (16, 16, 7, 2, 63),
+]
+CRITERION6_CFG = dc.EncoderConfig(
+    n_leads=1, conv_blocks=((8, 7, 2), (16, 7, 2), (16, 7, 2)),
+    embedding_dim=16, projection_dim=8, prediction_hidden=8,
+)
+
+
+class TestConv1dSameBytesAsOracle:
+    @pytest.mark.parametrize("relu", [False, True])
+    @_conv_grid
+    def test_grid(self, rng, stride, k, c_in, L, relu):
+        data = [rng.standard_normal(shape) for shape in ((2, c_in, L), (4, c_in, k), (4,))]
+        r = rng.standard_normal((2, 4, (L - 1) // stride + 1))
+        got = _conv_bytes(dc.conv1d, data, r, stride, relu)
+        want = _conv_bytes(_conv1d_oracle, data, r, stride, relu)
+        assert got[0] == want[0] and got[2:] == want[2:]  # output, w and b gradients
+        if c_in > 1:
+            assert got[1] == want[1]
+        else:
+            # one input channel: each tap's product has one column, which
+            # numpy hands to BLAS as a matrix-vector product, and that sums
+            # the same C_out terms in another order. In an encoder the first
+            # block's input is the data batch, which takes no gradient.
+            got_x, want_x = (np.frombuffer(a) for a in (got[1], want[1]))
+            np.testing.assert_allclose(got_x, want_x, rtol=1e-14, atol=1e-15)
+
+    @pytest.mark.parametrize("relu", [False, True])
+    @pytest.mark.parametrize("c_out, c_in, k, stride, L", ENCODER_BLOCKS)
+    def test_encoder_blocks(self, rng, c_out, c_in, k, stride, L, relu):
+        data = [rng.standard_normal(shape) for shape in ((32, c_in, L), (c_out, c_in, k), (c_out,))]
+        r = rng.standard_normal((32, c_out, (L - 1) // stride + 1))
+        # as in the encoder, only a block after the first takes an input gradient
+        got = _conv_bytes(dc.conv1d, data, r, stride, relu, input_grad=c_in > 1)
+        assert got == _conv_bytes(_conv1d_oracle, data, r, stride, relu, input_grad=c_in > 1)
+
+    @pytest.mark.parametrize("relu", [False, True])
+    @_conv_grid
+    def test_no_grad_values(self, rng, stride, k, c_in, L, relu):
+        # without a tape the ReLU builds no mask: its zeros are +0.0 where
+        # the oracle's masked product gives -0.0, and only those may differ
+        data = [rng.standard_normal(shape) for shape in ((2, c_in, L), (4, c_in, k), (4,))]
+        with dc.no_grad():
+            got, want = (conv(*(t(a) for a in data), stride, relu).data
+                         for conv in (dc.conv1d, _conv1d_oracle))
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("cfg", [dc.EncoderConfig(), CRITERION6_CFG])
+    def test_encode_same_bytes_as_taped_forward(self, rng, cfg):
+        params = dc.init_encoder_params(cfg, seed=0)
+        x = rng.standard_normal((dc.ENCODE_CHUNK, cfg.n_leads, 250))
+        taped = dc.forward_encoder(params, cfg, x)
+        assert taped._parents  # the taped forward builds the ReLU masks
+        assert dc.encode(params, cfg, x).tobytes() == taped.data.tobytes()
+
+    @pytest.mark.parametrize("stride", [1, 2, 3])
+    @pytest.mark.parametrize("k, Lp", [(1, 9), (3, 9), (7, 20), (9, 9)])  # k == Lp: one window
+    def test_im2col_equals_window_view(self, rng, stride, k, Lp):
+        xp = rng.standard_normal((2, Lp, 3))
+        assert np.array_equal(dc._im2col(xp, k, stride), _im2col_window_view(xp, k, stride))
+
+
 class TestNoGrad:
     def test_results_record_no_tape(self, rng):
         w = t(rng.standard_normal((3, 2, 3)))
@@ -351,6 +473,11 @@ class TestEncode:
         want = dc.forward_encoder(params, SMALL_CFG, x).data
         assert isinstance(got, np.ndarray) and got.shape == want.shape
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+    def test_zero_windows(self):
+        cfg = dc.EncoderConfig()
+        got = dc.encode(dc.init_encoder_params(cfg, seed=0), cfg, np.zeros((0, 1, 250)))
+        assert got.shape == (0, cfg.embedding_dim)
 
     def test_memory_bounded_by_chunk(self, rng):
         cfg = dc.EncoderConfig()

@@ -186,6 +186,16 @@ class TestFinetune:
             np.testing.assert_array_equal(pretrained[n].data, before[n])
             np.testing.assert_array_equal(model[n].data, before[n])
 
+    @pytest.mark.parametrize("freeze", [False, True])
+    def test_empty_train_rejected(self, freeze):
+        split = make_split(np.random.default_rng(8))
+        split = DatasetSplit([], split.validation, split.test)
+        with pytest.raises(ValueError, match="empty training split"):
+            th.finetune(
+                dc.init_encoder_params(tiny_cfg(), seed=0),
+                th.FinetuneConfig(freeze_encoder=freeze), split, tiny_cfg(),
+            )
+
     def test_unfrozen_encoder_moves(self):
         cfg = tiny_cfg()
         split = make_split(np.random.default_rng(7))
