@@ -267,13 +267,14 @@ def _load_dataset(path) -> list:
     return records
 
 
-def _load_windows(dataset_path, spec: dict, fractions=None, seed: int = 0):
+def _load_windows(dataset_path, spec: dict, fractions=None, seed: int = 0, least=1, use="training"):
     """Windows of a dataset, preprocessed as the run spec says.
 
     Records are resampled to the spec's rate, cut into windows of its length
     and standardized if it says so. With `fractions` they are first split by
     subject (seeded); without, every window lands in `train`, in sorted-file
-    order.
+    order. Fewer than `least` windows in `train` are a data error that names
+    their `use`.
     """
     records = _load_dataset(dataset_path)
     if "encoder" in spec:
@@ -300,10 +301,10 @@ def _load_windows(dataset_path, spec: dict, fractions=None, seed: int = 0):
     split = signal_core.split_windows(
         split, spec["window_len"], standardize=spec["standardize_windows"]
     )
-    if not split.train:
+    if len(split.train) < least:
         raise DataError(
-            f"{dataset_path} gives no {spec['window_len']}-sample windows "
-            f"at {target_hz} Hz for training"
+            f"{dataset_path} gives {len(split.train)} {spec['window_len']}-sample windows "
+            f"at {target_hz} Hz for {use}, which needs at least {least}"
         )
     return split
 
@@ -415,6 +416,10 @@ def cmd_finetune(c: _Config, out_dir: Path, seed: int, **fixed):
     fc = _read(train_harness.FinetuneConfig, c.finetune, "finetune", seed=seed, **fixed)
     pretrained, spec, encoder = _load_run(c)
     split = _load_windows(c.dataset, spec, c.fractions, seed)
+    if not split.train[0].labels.classes:
+        labels = Path(c.dataset) / "labels.csv"
+        why = f"{labels} names no class" if labels.exists() else f"no labels.csv under {c.dataset}"
+        raise DataError(f"{why}; the classifier needs class labels")
     if not split.test:
         subjects = {w.source_subject for w in split.train + split.validation}
         raise DataError(
@@ -464,8 +469,9 @@ def cmd_distshift(c: _Config, out_dir: Path, seed: int):
     report = distshift.analyze_pair(
         params,
         encoder,
-        _load_windows(c.dataset_ref, spec).train,
-        _load_windows(c.dataset_other, spec).train,
+        # the PCA is fitted on the reference set; each set gets a KDE
+        _load_windows(c.dataset_ref, spec, least=3, use="the PCA of dataset_ref").train,
+        _load_windows(c.dataset_other, spec, least=2, use="the KDE of dataset_other").train,
         resolution=c.resolution,
         ref_tag=c.dataset_ref,
         other_tag=c.dataset_other,

@@ -67,8 +67,8 @@ _TAPE = _TapeState()
 def no_grad():
     """Build no tape inside the block: every Tensor made there has no
     parents and no backward, so each intermediate is freed as soon as the
-    forward pass stops referring to it. Leaves keep the `requires_grad`
-    they are given. Per thread; nests."""
+    forward pass stops referring to it. Values are the taped ones, byte for
+    byte. Leaves keep the `requires_grad` they are given. Per thread; nests."""
     previous = _TAPE.recording
     _TAPE.recording = False
     try:
@@ -208,9 +208,6 @@ class Tensor:
 
         return Tensor(self.data / other.data, _parents=(self, other), _backward=bwd)
 
-    def __rtruediv__(self, other):
-        return Tensor._lift(other) / self
-
     def _accum(self, g):
         if not self.requires_grad:
             return
@@ -328,9 +325,7 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, relu: bool = False)
     Output length is floor((L + 2*(k//2) - k) / stride) + 1.
     With `relu`, the output is max(conv, 0) as one tape node, the same bytes
     as `conv1d(x, w, b, stride).relu()`: the GEMM output is masked in place,
-    and only the mask is kept for the backward. Under `no_grad` no mask is
-    made; outputs that the mask would turn into -0.0 read +0.0 instead,
-    which no later product or sum tells apart.
+    and only the mask is kept for the backward.
 
     The output and the weight gradient are im2col plus one matmul each, on
     a time-major copy of the padded input; the output is a (B, C_out,
@@ -355,9 +350,7 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, relu: bool = False)
     w2 = w.data.transpose(0, 2, 1).reshape(c_out, k * c_in)
     out = _im2col(xp, k, stride) @ w2.T
     out += b.data
-    if relu and not _TAPE.recording:
-        np.maximum(out, 0.0, out=out)
-    elif relu:
+    if relu:
         mask = out > 0  # subgradient at 0 is 0
         out *= mask
     out = out.reshape(B, out_len, c_out).transpose(0, 2, 1)
@@ -468,9 +461,6 @@ class ModelParams:
 
     def __getitem__(self, name) -> Tensor:
         return self.params[name]
-
-    def __contains__(self, name):
-        return name in self.params
 
     def names(self):
         return list(self.params)
@@ -601,15 +591,18 @@ def forward_head(params: ModelParams, h: Tensor) -> Tensor:
 # optimization
 
 
+# Adam's moment decay rates and denominator floor (Kingma & Ba's defaults)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class AdamState:
     """Adam with decoupled weight decay (AdamW-style)."""
 
     lr: float = 5e-4
     weight_decay: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
@@ -624,12 +617,12 @@ def adam_step(state: AdamState, params: ModelParams) -> None:
         if name not in state.m:
             state.m[name] = np.zeros_like(p.data)
             state.v[name] = np.zeros_like(p.data)
-        state.m[name] = state.beta1 * state.m[name] + (1 - state.beta1) * g
-        state.v[name] = state.beta2 * state.v[name] + (1 - state.beta2) * g * g
-        m_hat = state.m[name] / (1 - state.beta1**t)
-        v_hat = state.v[name] / (1 - state.beta2**t)
+        state.m[name] = ADAM_BETA1 * state.m[name] + (1 - ADAM_BETA1) * g
+        state.v[name] = ADAM_BETA2 * state.v[name] + (1 - ADAM_BETA2) * g * g
+        m_hat = state.m[name] / (1 - ADAM_BETA1**t)
+        v_hat = state.v[name] / (1 - ADAM_BETA2**t)
         p.data = p.data - state.lr * (
-            m_hat / (np.sqrt(v_hat) + state.eps) + state.weight_decay * p.data
+            m_hat / (np.sqrt(v_hat) + ADAM_EPS) + state.weight_decay * p.data
         )
         p.zero_grad()
 

@@ -75,11 +75,6 @@ class DensityGrid:
         dy = (self.grid_max[1] - self.grid_min[1]) / (self.resolution - 1)
         return dx * dy
 
-    def axes(self):
-        gx = np.linspace(self.grid_min[0], self.grid_max[0], self.resolution)
-        gy = np.linspace(self.grid_min[1], self.grid_max[1], self.resolution)
-        return gx, gy
-
 
 @dataclass
 class OverlapReport:

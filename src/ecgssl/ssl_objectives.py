@@ -226,18 +226,18 @@ def swav_loss(
             stacklevel=2,
         )
 
-    zn_i = l2_normalize(z_i, axis=1)
-    zn_j = l2_normalize(z_j, axis=1)
+    # each view's prototype scores, computed once: Sinkhorn reads their
+    # values, the loss differentiates through them
+    s_i = l2_normalize(z_i, axis=1) @ bank.C.T
+    s_j = l2_normalize(z_j, axis=1) @ bank.C.T
     if codes is None:
-        scores_i = zn_i.data @ bank.C.data.T
-        scores_j = zn_j.data @ bank.C.data.T
-        q_i = sinkhorn_knopp(scores_i, epsilon, n_iters).codes
-        q_j = sinkhorn_knopp(scores_j, epsilon, n_iters).codes
+        q_i = sinkhorn_knopp(s_i.data, epsilon, n_iters).codes
+        q_j = sinkhorn_knopp(s_j.data, epsilon, n_iters).codes
     else:
         q_i, q_j = codes
 
-    def l(zn: Tensor, q: np.ndarray) -> Tensor:
-        log_p = _log_softmax_rows(zn @ bank.C.T * (1.0 / temperature))
+    def l(scores: Tensor, q: np.ndarray) -> Tensor:
+        log_p = _log_softmax_rows(scores * (1.0 / temperature))
         return -(log_p * q).sum(axis=1).mean()
 
-    return l(zn_i, q_j) + l(zn_j, q_i)
+    return l(s_i, q_j) + l(s_j, q_i)

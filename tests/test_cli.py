@@ -230,6 +230,23 @@ class TestLineval:
         assert run("lineval", cfg, tmp_path / "out") == 2
         assert "'standardize_windows'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("change, code", [({}, 0), ({"embedding_dim": 16}, 2)])
+    def test_encoder_may_repeat_only_the_checkpoint_value(
+        self, change, code, data_dir, pretrain_dir, tmp_path, capsys
+    ):
+        cfg = write_config(
+            tmp_path / "lin.json",
+            {
+                "dataset": str(data_dir / "cohortA"),
+                "checkpoint": str(pretrain_dir / "checkpoint.ckpt"),
+                "encoder": dict(SMALL_ENCODER, **change),
+                "fractions": [0.6, 0.2, 0.2],
+                "finetune": {"epochs": 1, "batch_size": 8},
+            },
+        )
+        assert run("lineval", cfg, tmp_path / "out", seed=2) == code
+        assert ("'encoder'" in capsys.readouterr().err) == bool(code)
+
     def test_lead_count_differing_from_encoder_is_data_error(
         self, data_dir, pretrain_dir, tmp_path
     ):
@@ -333,6 +350,27 @@ class TestFinetune:
         assert json.loads((out / "manifest.json").read_text())["exit_code"] == 3
         assert not (out / "metrics.json").exists()
 
+    @pytest.mark.parametrize("command", ["finetune", "lineval"])
+    @pytest.mark.parametrize("labels", [None, "record_id,classes\n"])
+    def test_dataset_without_classes_is_data_error_before_training(
+        self, command, labels, data_dir, pretrain_dir, tmp_path, capsys, monkeypatch
+    ):
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained with no class labels")
+
+        monkeypatch.setattr(th, "finetune", no_training)
+        cohort = copy_cohort(data_dir, tmp_path / "cohort")
+        if labels is None:
+            (cohort / "labels.csv").unlink()
+            want = f"no labels.csv under {cohort}"
+        else:
+            (cohort / "labels.csv").write_text(labels)
+            want = f"{cohort / 'labels.csv'} names no class"
+        config = lin(data_dir, pretrain_dir / "checkpoint.ckpt", dataset=str(cohort),
+                     fractions=[0.6, 0.2, 0.2])
+        code, line = run_failing(command, config, tmp_path, capsys)
+        assert code == 3 and want in line, line
+
 
 class TestDistshift:
     def test_overlap_report(self, data_dir, pretrain_dir, tmp_path):
@@ -392,6 +430,41 @@ class TestDistshift:
     def test_missing_keys_is_config_error(self, tmp_path):
         cfg = write_config(tmp_path / "ds.json", {"checkpoint": "x"})
         assert run("distshift", cfg, tmp_path / "out") == 2
+
+    @pytest.mark.parametrize("key, least, use", [("dataset_ref", 3, "the PCA"),
+                                                 ("dataset_other", 2, "the KDE")])
+    def test_too_few_windows_is_data_error_naming_the_dataset(
+        self, key, least, use, data_dir, pretrain_dir, tmp_path, capsys
+    ):
+        small = cohort_of_windows(tmp_path / "small", least - 1)
+        config = shift(data_dir, pretrain_dir / "checkpoint.ckpt", resolution=16, **{key: str(small)})
+        code, line = run_failing("distshift", config, tmp_path, capsys)
+        assert code == 3, line
+        assert line.endswith(
+            f"{small} gives {least - 1} 250-sample windows at 100.0 Hz "
+            f"for {use} of {key}, which needs at least {least}"
+        ), line
+
+    def test_fewest_windows_that_run(self, pretrain_dir, tmp_path):
+        cfg = write_config(
+            tmp_path / "ds.json",
+            {
+                "checkpoint": str(pretrain_dir / "checkpoint.ckpt"),
+                "dataset_ref": str(cohort_of_windows(tmp_path / "ref", 3)),
+                "dataset_other": str(cohort_of_windows(tmp_path / "other", 2)),
+                "resolution": 16,
+            },
+        )
+        assert run("distshift", cfg, tmp_path / "out", seed=0) == 0
+
+
+def cohort_of_windows(path: Path, n: int) -> Path:
+    """A one-record cohort of 100 Hz noise that gives `n` 250-sample windows."""
+    (path / "records").mkdir(parents=True)
+    leads = np.random.default_rng(n).standard_normal((1, 250 * n))
+    record = signal_core.EcgRecord("only", leads, 100.0, signal_core.LabelSet((), ()))
+    signal_core.write_record_binary(path / "records" / "only.esig", record)
+    return path
 
 
 class TestReport:
@@ -852,6 +925,13 @@ def copy_cohort(data_dir, to: Path) -> Path:
         (to / "records" / f.name).write_bytes(f.read_bytes())
     (to / "labels.csv").write_bytes((data_dir / "cohortA" / "labels.csv").read_bytes())
     return to
+
+
+def test_dataset_without_records_is_data_error(tmp_path, capsys):
+    records = tmp_path / "cohort" / "records"
+    records.mkdir(parents=True)
+    code, line = run_failing("pretrain", pre(tmp_path, dataset=str(records.parent)), tmp_path, capsys)
+    assert code == 3 and f"no .esig records found under {records}" in line, line
 
 
 def test_truncated_record_in_dataset_is_data_error(data_dir, pretrain_dir, tmp_path, capsys):

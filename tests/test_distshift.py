@@ -70,7 +70,8 @@ class TestKde:
         pts = rng.standard_normal((100, 2)) * 0.1
         bounds = (np.array([-10.0, -10.0]), np.array([10.0, 10.0]))
         g = ds.kde_2d(pts, resolution=128, bounds=bounds)
-        gx, gy = g.axes()
+        gx = np.linspace(g.grid_min[0], g.grid_max[0], g.resolution)
+        gy = np.linspace(g.grid_min[1], g.grid_max[1], g.resolution)
         inner = (np.abs(gx) < 1)[:, None] & (np.abs(gy) < 1)[None, :]
         assert g.density[inner].sum() * g.cell_area > 0.95
 

@@ -307,6 +307,14 @@ class TestNonFiniteStep:
         with pytest.raises(ValueError, match="^non-finite validation loss at epoch 0$"):
             pretrain_quick()
 
+    # a NaN parameter stops BYOL's and SwAV's validation losses at a
+    # NonFiniteError, before any loss value exists
+    @pytest.mark.parametrize("method", ["BYOL", "SwAV"])
+    def test_validation_stopped_at_a_nan_names_epoch(self, monkeypatch, method):
+        poison_after_adam_step(monkeypatch, "embed.bias", 3)
+        with pytest.raises(ValueError, match="^non-finite validation loss at epoch 0$"):
+            pretrain_quick(method)
+
     def test_gradient_names_parameter_epoch_and_step(self, monkeypatch):
         params = dc.init_encoder_params(tiny_cfg(), quick_pretrain_cfg("SimCLR").seed)
         monkeypatch.setattr(th, "init_encoder_params", lambda cfg, seed: params)
