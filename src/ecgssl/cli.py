@@ -5,7 +5,7 @@ distshift, report. Structured settings live in a JSON config file; flags
 carry only paths, the seed, and the command. Every output directory gets a
 manifest.json with the seed, a hash of the config that produced it, and the
 run's status: "running" from before the command starts, then "ok" or
-"failed" when it ends. A run killed by a signal leaves "running".
+"failed" when it ends. A run killed by SIGKILL leaves "running".
 
 The config's schema is the dataclasses: `_Config` for the top level, and
 `PretrainConfig`, `FinetuneConfig`, `EncoderConfig`, `AugmentationSpec` and
@@ -17,7 +17,7 @@ the checkpoint. lineval, finetune and distshift read windows and build the
 encoder from that spec, so a checkpoint is always consumed as it was trained.
 
 Exit codes: 0 success, 2 config error, 3 data error, 4 runtime/numeric error,
-130 interrupted (Ctrl-C).
+130 interrupted (Ctrl-C), 143 terminated (SIGTERM).
 """
 
 from __future__ import annotations
@@ -30,7 +30,12 @@ import functools
 import hashlib
 import json
 import math
+import os
+import signal
 import sys
+import threading
+import time
+import warnings
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
@@ -46,6 +51,7 @@ EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_RUNTIME = 4
 EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports it
+EXIT_TERMINATED = 143  # 128 + SIGTERM
 
 
 class ConfigError(Exception):
@@ -54,6 +60,10 @@ class ConfigError(Exception):
 
 class DataError(Exception):
     pass
+
+
+class _Terminated(KeyboardInterrupt):
+    """SIGTERM, which ends a run the way Ctrl-C does."""
 
 
 # ---------------------------------------------------------------------------
@@ -214,8 +224,9 @@ def _config_hash(config) -> str:
 def _write_manifest(out_dir: Path, command: str, config, seed, code: int | None, error):
     """The run's record; `code` None marks a run that has not ended."""
     manifest = dict(command=command, seed=seed, config_hash=_config_hash(config), config=config)
-    if code is None:
-        manifest.update(status="running")
+    if code is None:  # what a killed run leaves: pid, host and start tell it from a live one
+        started = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
+        manifest.update(status="running", pid=os.getpid(), host=os.uname().nodename, started=started)
     elif code == EXIT_OK:
         manifest.update(status="ok")
     else:
@@ -420,12 +431,13 @@ def cmd_finetune(c: _Config, out_dir: Path, seed: int, **fixed):
         labels = Path(c.dataset) / "labels.csv"
         why = f"{labels} names no class" if labels.exists() else f"no labels.csv under {c.dataset}"
         raise DataError(f"{why}; the classifier needs class labels")
-    if not split.test:
-        subjects = {w.source_subject for w in split.train + split.validation}
-        raise DataError(
-            f"{c.dataset} gives no test windows: fractions {list(c.fractions)} "
-            f"leave none of its {len(subjects)} subjects for testing"
-        )
+    for part, use in (("test", "testing"), ("validation", "model selection")):
+        if not getattr(split, part):
+            subjects = {w.source_subject for w in split.train + split.validation + split.test}
+            raise DataError(
+                f"{c.dataset} gives no {part} windows: fractions {list(c.fractions)} "
+                f"leave none of its {len(subjects)} subjects for {use}"
+            )
     model, log = train_harness.finetune(pretrained, fc, split, encoder)
     pred = train_harness.predict_scores(model, encoder, split.test)
     _emit_metrics(out_dir, c, spec, seed, pred)
@@ -530,6 +542,23 @@ _COMMANDS = {
 }
 
 
+@contextlib.contextmanager
+def _command_scope():
+    """SIGTERM ends the run like Ctrl-C, and each warning prints as one line."""
+    def terminate(signum, frame):
+        raise _Terminated
+
+    with warnings.catch_warnings():
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+        main_thread = threading.current_thread() is threading.main_thread()  # only it sets handlers
+        previous = signal.signal(signal.SIGTERM, terminate) if main_thread else None
+        try:
+            yield
+        finally:
+            if previous is not None:  # also None for a handler not set from Python
+                signal.signal(signal.SIGTERM, previous)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="ecgssl", description="Desk-scale SSL experiments on ECG signals."
@@ -543,34 +572,37 @@ def main(argv=None) -> int:
     out_dir = Path(args.out)
     command, needs = _COMMANDS[args.command]
     config, seed = None, args.seed
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        config = _load_config(args.config)
-        c = _read(_Config, config, "")
-        c.raw = config
-        seed = args.seed if args.seed is not None else c.seed
-        _need(c, needs)
-        _write_manifest(out_dir, args.command, config, seed, None, None)
-        # an overflow or an invalid value is a failed run, not a warning
-        with np.errstate(divide="raise", over="raise", invalid="raise"):
-            command(c, out_dir, seed)
-        _write_manifest(out_dir, args.command, config, seed, EXIT_OK, None)
-        return EXIT_OK
-    except ConfigError as e:
-        code, error = EXIT_CONFIG, f"config error: {e}"
-    except DataError as e:
-        code, error = EXIT_DATA, f"data error: {e}"
-    except (ValueError, TypeError, OSError, FloatingPointError) as e:
-        code, error = EXIT_RUNTIME, f"runtime error: {e}"
-    except MemoryError as e:
-        code, error = EXIT_RUNTIME, "runtime error: out of memory" + (f": {e}" if str(e) else "")
-    except KeyboardInterrupt:
-        code, error = EXIT_INTERRUPTED, "interrupted"
-    print(error, file=sys.stderr)
-    # the failure record is best effort: the directory may be what failed
-    with contextlib.suppress(OSError):
-        _write_manifest(out_dir, args.command, config, seed, code, error)
-    return code
+    with _command_scope():
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+            config = _load_config(args.config)
+            c = _read(_Config, config, "")
+            c.raw = config
+            seed = args.seed if args.seed is not None else c.seed
+            _need(c, needs)
+            _write_manifest(out_dir, args.command, config, seed, None, None)
+            # an overflow or an invalid value is a failed run, not a warning
+            with np.errstate(divide="raise", over="raise", invalid="raise"):
+                command(c, out_dir, seed)
+            _write_manifest(out_dir, args.command, config, seed, EXIT_OK, None)
+            return EXIT_OK
+        except ConfigError as e:
+            code, error = EXIT_CONFIG, f"config error: {e}"
+        except DataError as e:
+            code, error = EXIT_DATA, f"data error: {e}"
+        except (ValueError, TypeError, OSError, FloatingPointError) as e:
+            code, error = EXIT_RUNTIME, f"runtime error: {e}"
+        except MemoryError as e:
+            code, error = EXIT_RUNTIME, "runtime error: out of memory" + (f": {e}" if str(e) else "")
+        except _Terminated:
+            code, error = EXIT_TERMINATED, "terminated"
+        except KeyboardInterrupt:
+            code, error = EXIT_INTERRUPTED, "interrupted"
+        print(error, file=sys.stderr)
+        # the failure record is best effort: the directory may be what failed
+        with contextlib.suppress(OSError):
+            _write_manifest(out_dir, args.command, config, seed, code, error)
+        return code
 
 
 if __name__ == "__main__":

@@ -15,7 +15,6 @@ import math
 import os
 import struct
 import threading
-from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -368,7 +367,7 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, relu: bool = False)
             return
         # padded time p = q*stride + r sits at phase r, slot q: tap j of
         # output t lands at phase j % stride, slot t + j // stride, so each
-        # tap adds one contiguous run, in ascending j from 0.0 as before
+        # tap adds one contiguous run, in ascending j from 0.0
         Q = -(-Lp // stride)
         gph = np.zeros((B, stride, Q, c_in))
         gj = np.empty((B, out_len, c_in))  # every tap's product, in turn
@@ -456,8 +455,8 @@ class EncoderConfig:
 class ModelParams:
     """Ordered, named parameter tensors for one network."""
 
-    def __init__(self, params: "OrderedDict[str, Tensor]"):
-        self.params = OrderedDict(params)
+    def __init__(self, params: dict[str, Tensor]):
+        self.params = dict(params)
 
     def __getitem__(self, name) -> Tensor:
         return self.params[name]
@@ -473,10 +472,7 @@ class ModelParams:
 
     def copy(self) -> "ModelParams":
         return ModelParams(
-            OrderedDict(
-                (n, Tensor(t.data.copy(), requires_grad=t.requires_grad))
-                for n, t in self.params.items()
-            )
+            {n: Tensor(t.data.copy(), requires_grad=t.requires_grad) for n, t in self.params.items()}
         )
 
     def zero_grads(self):
@@ -484,16 +480,10 @@ class ModelParams:
             t.zero_grad()
 
     def subset(self, prefix) -> "ModelParams":
-        return ModelParams(
-            OrderedDict(
-                (n, t) for n, t in self.params.items() if n.startswith(prefix)
-            )
-        )
+        return ModelParams({n: t for n, t in self.params.items() if n.startswith(prefix)})
 
     def merged_with(self, other: "ModelParams") -> "ModelParams":
-        merged = OrderedDict(self.params)
-        merged.update(other.params)
-        return ModelParams(merged)
+        return ModelParams({**self.params, **other.params})
 
 
 def _uniform_init(rng: np.random.Generator, shape, fan_in: int) -> Tensor:
@@ -504,7 +494,7 @@ def _uniform_init(rng: np.random.Generator, shape, fan_in: int) -> Tensor:
 def init_encoder_params(cfg: EncoderConfig, seed: int) -> ModelParams:
     """Seeded fan-in uniform init of encoder + projection + predictor weights."""
     rng = np.random.default_rng(seed)
-    p = OrderedDict()
+    p = {}
     c_in = cfg.n_leads
     for i, (c_out, k, _stride) in enumerate(cfg.conv_blocks):
         fan = c_in * k
@@ -527,14 +517,9 @@ def init_encoder_params(cfg: EncoderConfig, seed: int) -> ModelParams:
 
 def init_head_params(cfg: EncoderConfig, n_classes: int, seed: int) -> ModelParams:
     rng = np.random.default_rng(seed)
-    return ModelParams(
-        OrderedDict(
-            [
-                ("head.weight", _uniform_init(rng, (cfg.embedding_dim, n_classes), cfg.embedding_dim)),
-                ("head.bias", _uniform_init(rng, (n_classes,), cfg.embedding_dim)),
-            ]
-        )
-    )
+    weight = _uniform_init(rng, (cfg.embedding_dim, n_classes), cfg.embedding_dim)
+    bias = _uniform_init(rng, (n_classes,), cfg.embedding_dim)
+    return ModelParams({"head.weight": weight, "head.bias": bias})
 
 
 def forward_encoder(params: ModelParams, cfg: EncoderConfig, batch) -> Tensor:
@@ -715,7 +700,7 @@ def load_checkpoint(path):
     (spec_len,) = unpack("<I")
     spec = json.loads(take(spec_len).decode("utf-8"))
     (n_params,) = unpack("<I")
-    params = OrderedDict()
+    params = {}
     for _ in range(n_params):
         (nlen,) = unpack("<H")
         name = take(nlen).decode("utf-8")

@@ -17,7 +17,6 @@ from .diffcore import EncoderConfig, ModelParams, encode
 
 __all__ = [
     "EmbeddingSet",
-    "ReducedEmbedding",
     "DensityGrid",
     "OverlapReport",
     "extract_embeddings",
@@ -50,17 +49,6 @@ class EmbeddingSet:
 
 
 @dataclass
-class ReducedEmbedding:
-    points: np.ndarray
-    source_tag: str = ""
-
-    def __post_init__(self):
-        self.points = np.asarray(self.points, dtype=np.float64)
-        if self.points.ndim != 2 or self.points.shape[1] != 2:
-            raise ValueError("reduced points must be (n, 2)")
-
-
-@dataclass
 class DensityGrid:
     grid_min: np.ndarray
     grid_max: np.ndarray
@@ -83,10 +71,6 @@ class OverlapReport:
     reducer_fitted_on: str
     axis_etas: tuple = ()
 
-    def __post_init__(self):
-        if not -1e-6 <= self.eta <= 1.0 + 1e-6:
-            raise ValueError("overlap index out of [0, 1]")
-
     def to_json(self) -> str:
         return json.dumps(
             {
@@ -108,7 +92,7 @@ def extract_embeddings(
 
 def fit_reduce(reference: EmbeddingSet, others=()) -> list:
     """Fit PCA on the reference set only; project reference and others with
-    the same transform so all sets share one coordinate frame."""
+    the same transform into one 2-D frame, one EmbeddingSet per input."""
     if reference.points.shape[0] < 3:
         raise ValueError("need at least 3 reference points")
     mean = reference.points.mean(axis=0)
@@ -119,7 +103,7 @@ def fit_reduce(reference: EmbeddingSet, others=()) -> list:
     if components.shape[0] < 2:
         raise ValueError("reference rank too low for a 2-D reduction")
     return [
-        ReducedEmbedding((e.points - mean) @ components.T, e.source_tag)
+        EmbeddingSet((e.points - mean) @ components.T, e.source_tag)
         for e in (reference, *others)
     ]
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -408,8 +408,6 @@ def linear_eval(
     pretrained: ModelParams, split, enc_cfg: EncoderConfig, config: FinetuneConfig
 ):
     """Frozen-encoder fine-tuning, then macro-F1 on the test partition."""
-    if not config.freeze_encoder:
-        raise ValueError("linear evaluation requires freeze_encoder=True")
-    model, log = finetune(pretrained, config, split, enc_cfg)
+    model, log = finetune(pretrained, replace(config, freeze_encoder=True), split, enc_cfg)
     pred = predict_scores(model, enc_cfg, split.test)
     return macro_f1(pred), log

@@ -8,7 +8,9 @@ import struct
 import subprocess
 import sys
 import tempfile
+import threading
 import time
+import warnings
 from dataclasses import asdict, fields, is_dataclass
 from pathlib import Path
 from typing import get_args, get_origin
@@ -349,6 +351,22 @@ class TestFinetune:
         assert "cohortA" in err and "12 subjects" in err and "[0.75, 0.25, 0.0]" in err
         assert json.loads((out / "manifest.json").read_text())["exit_code"] == 3
         assert not (out / "metrics.json").exists()
+
+    @pytest.mark.parametrize("command", ["finetune", "lineval"])
+    def test_empty_validation_split_is_data_error_before_training(
+        self, command, data_dir, pretrain_dir, tmp_path, capsys, monkeypatch
+    ):
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained with no validation windows")
+
+        monkeypatch.setattr(th, "finetune", no_training)
+        config = lin(data_dir, pretrain_dir / "checkpoint.ckpt", fractions=[0.75, 0.0, 0.25])
+        code, line = run_failing(command, config, tmp_path, capsys)
+        assert code == 3, line
+        assert line == (
+            f"data error: {data_dir / 'cohortA'} gives no validation windows: fractions "
+            "[0.75, 0.0, 0.25] leave none of its 12 subjects for model selection"
+        )
 
     @pytest.mark.parametrize("command", ["finetune", "lineval"])
     @pytest.mark.parametrize("labels", [None, "record_id,classes\n"])
@@ -1061,6 +1079,65 @@ class TestManifest:
             child.send_signal(signal.SIGKILL)
             child.wait()
         assert status() == "running"
+
+    def test_sigterm_exits_143_with_one_line_and_a_failed_manifest(self, data_dir, tmp_path):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path / "long.json", pre(data_dir, pretrain={"epochs": 100000, "batch_size": 8}))
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+        child = subprocess.Popen(
+            [sys.executable, "-m", "ecgssl.cli", "pretrain", "--config", str(cfg), "--out", str(out)],
+            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+        )
+
+        def manifest():
+            try:
+                return json.loads((out / "manifest.json").read_text())
+            except (FileNotFoundError, json.JSONDecodeError):  # not yet written
+                return {}
+
+        try:
+            deadline = time.monotonic() + 30
+            while time.monotonic() < deadline and child.poll() is None and not manifest():
+                time.sleep(0.05)
+            running = manifest()
+            assert child.poll() is None, "the run ended before it was terminated"
+            child.send_signal(signal.SIGTERM)
+            _, err = child.communicate(timeout=30)
+        finally:
+            if child.poll() is None:
+                child.kill()
+                child.wait()
+        assert running.get("status") == "running", running
+        assert (running["pid"], running["host"]) == (child.pid, os.uname().nodename)
+        assert re.fullmatch(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\dZ", running["started"])
+        assert (child.returncode, err) == (143, "terminated\n")
+        final = manifest()
+        assert (final["status"], final["exit_code"], final["error"]) == ("failed", 143, "terminated")
+        assert not {"pid", "host", "started"} & final.keys()
+
+    def test_handlers_are_restored_and_set_only_on_the_main_thread(self, tmp_path, capsys):
+        before = signal.getsignal(signal.SIGTERM), warnings.showwarning
+        assert run("synth-gen", tmp_path / "nope.json", tmp_path / "a") == 2
+        assert (signal.getsignal(signal.SIGTERM), warnings.showwarning) == before
+        codes = []
+        worker = threading.Thread(
+            target=lambda: codes.append(run("synth-gen", tmp_path / "nope.json", tmp_path / "b"))
+        )
+        worker.start()
+        worker.join(timeout=60)
+        assert not worker.is_alive() and codes == [2]
+
+    def test_warnings_print_as_one_line_each(self, data_dir, tmp_path, capsys):
+        # batches of 8 are below SwAV's 30 prototypes, which warns
+        config = pre(data_dir, method="SwAV", pretrain={"epochs": 2, "batch_size": 8})
+        cfg = write_config(tmp_path / "swav.json", config)
+        assert run("pretrain", cfg, tmp_path / "out") == 0
+        lines = capsys.readouterr().err.splitlines()
+        assert lines and all(
+            re.fullmatch(r"warning: batch size \d+ below prototype count 30; codes may be noisy", line)
+            for line in lines
+        ), lines
 
     def test_unreadable_config_still_leaves_a_record(self, tmp_path, capsys):
         assert run("synth-gen", tmp_path / "nope.json", tmp_path / "out") == 2

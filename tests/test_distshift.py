@@ -32,6 +32,14 @@ class TestPca:
         b = ds.fit_reduce(ref, [ds.EmbeddingSet(rng.standard_normal((50, 5)) * 40)])[0].points
         np.testing.assert_array_equal(a, b)
 
+    def test_returns_embedding_sets_with_their_tags(self, rng):
+        ref = ds.EmbeddingSet(rng.standard_normal((30, 5)), "ref")
+        others = [ds.EmbeddingSet(rng.standard_normal((n, 5)), f"o{n}") for n in (2, 40)]
+        reduced = ds.fit_reduce(ref, others)
+        assert all(type(r) is ds.EmbeddingSet for r in reduced)
+        assert [r.source_tag for r in reduced] == ["ref", "o2", "o40"]
+        assert [r.points.shape for r in reduced] == [(30, 2), (2, 2), (40, 2)]
+
     def test_zero_variance_rejected(self):
         with pytest.raises(ValueError):
             ds.fit_reduce(ds.EmbeddingSet(np.ones((10, 4))))

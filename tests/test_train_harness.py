@@ -355,14 +355,18 @@ class TestLinearEval:
         assert 0.0 <= f1 <= 1.0
         assert len(log.entries) == 30
 
-    def test_rejects_unfrozen_config(self):
+    def test_unfrozen_config_is_frozen(self, tmp_path):
         cfg = tiny_cfg()
         split = make_split(np.random.default_rng(12))
-        with pytest.raises(ValueError):
-            th.linear_eval(
+        runs = []
+        for freeze in (False, True):
+            f1, log = th.linear_eval(
                 dc.init_encoder_params(cfg, 0), split, cfg,
-                th.FinetuneConfig(freeze_encoder=False),
+                th.FinetuneConfig(epochs=3, batch_size=8, freeze_encoder=freeze),
             )
+            log.to_csv(tmp_path / f"{freeze}.csv")
+            runs.append((f1, (tmp_path / f"{freeze}.csv").read_bytes()))
+        assert runs[0] == runs[1]
 
 
 class TestTrainingLogCsv:
