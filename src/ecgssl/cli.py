@@ -17,7 +17,8 @@ the checkpoint. lineval, finetune and distshift read windows and build the
 encoder from that spec, so a checkpoint is always consumed as it was trained.
 
 Exit codes: 0 success, 2 config error, 3 data error, 4 runtime/numeric error,
-130 interrupted (Ctrl-C), 143 terminated (SIGTERM).
+75 busy (another live run holds the output directory), 130 interrupted
+(Ctrl-C), 143 terminated (SIGTERM).
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_RUNTIME = 4
+EXIT_BUSY = 75  # EX_TEMPFAIL of sysexits.h: nothing is wrong with the run; retry once the other ends
 EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports it
 EXIT_TERMINATED = 143  # 128 + SIGTERM
 
@@ -542,6 +544,35 @@ _COMMANDS = {
 }
 
 
+def _lock(out_dir: Path):
+    """Create `out_dir/.lock` with O_EXCL, holding "<pid> <host>"; take over a
+    lock whose pid is gone from this host. Returns None once this run holds
+    it, else the holder's text (unreadable text counts as a live holder)."""
+    path, host, holder = out_dir / ".lock", os.uname().nodename, ""
+    for _ in range(2):
+        try:
+            fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o644)
+        except FileExistsError:
+            try:
+                holder = path.read_text(errors="replace")
+                pid, _, held_on = holder.partition(" ")
+                if held_on != host or int(pid) < 1:
+                    return holder
+                os.kill(int(pid), 0)
+                return holder
+            except FileNotFoundError:  # released meanwhile
+                pass
+            except ProcessLookupError:  # its run is gone
+                path.unlink(missing_ok=True)
+            except (ValueError, PermissionError):  # unreadable, or another user's live run
+                return holder
+        else:
+            os.write(fd, f"{os.getpid()} {host}".encode())
+            os.close(fd)
+            return None
+    return holder
+
+
 @contextlib.contextmanager
 def _command_scope():
     """SIGTERM ends the run like Ctrl-C, and each warning prints as one line."""
@@ -572,9 +603,14 @@ def main(argv=None) -> int:
     out_dir = Path(args.out)
     command, needs = _COMMANDS[args.command]
     config, seed = None, args.seed
-    with _command_scope():
+    with _command_scope(), contextlib.ExitStack() as held:
         try:
             out_dir.mkdir(parents=True, exist_ok=True)
+            holder = _lock(out_dir)
+            if holder is not None:  # that run's manifest and outputs are left alone
+                print(f"busy: {out_dir} is the output directory of a live run ({holder})", file=sys.stderr)
+                return EXIT_BUSY
+            held.callback((out_dir / ".lock").unlink, missing_ok=True)
             config = _load_config(args.config)
             c = _read(_Config, config, "")
             c.raw = config

@@ -19,7 +19,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 __all__ = [
     "NonFiniteError",
@@ -309,11 +308,12 @@ def _im2col(xp: np.ndarray, k: int, stride: int) -> np.ndarray:
     """(B, Lp, C_in) C-contiguous padded input -> (B*out_len, k*C_in)
     columns; row b*out_len + t holds input times t*stride .. t*stride + k-1,
     each with every channel, one contiguous block per row. In C order those
-    k*C_in values are one run of xp, so the windows are one strided view."""
+    k*C_in values are one run of xp, so the windows are one strided view
+    (an `ndarray` over xp's buffer, which checks that it stays inside xp)."""
     B, Lp, c_in = xp.shape
     out_len = (Lp - k) // stride + 1
     s0, s1, s2 = xp.strides
-    win = as_strided(xp, (B, out_len, k * c_in), (s0, stride * s1, s2), writeable=False)
+    win = np.ndarray((B, out_len, k * c_in), xp.dtype, xp, 0, (s0, stride * s1, s2))
     return win.reshape(B * out_len, k * c_in)
 
 
@@ -457,6 +457,7 @@ class ModelParams:
 
     def __init__(self, params: dict[str, Tensor]):
         self.params = dict(params)
+        self._ema = None  # `ema_update`'s flat state, once this set is an EMA target
 
     def __getitem__(self, name) -> Tensor:
         return self.params[name]
@@ -574,6 +575,11 @@ def forward_head(params: ModelParams, h: Tensor) -> Tensor:
 
 # ---------------------------------------------------------------------------
 # optimization
+#
+# Adam and the EMA each keep their parameter set's values in one float64
+# vector, of which every tensor's data is a view, and run each update rule as
+# one in-place ufunc over all of it. Every rule acts element by element, so
+# each element gets the bytes of the same rule run tensor by tensor.
 
 
 # Adam's moment decay rates and denominator floor (Kingma & Ba's defaults)
@@ -582,45 +588,117 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 
+class _FlatValues:
+    """One parameter set's values as one float64 vector in the set's order,
+    plus a scratch vector of the same layout."""
+
+    def __init__(self, params: ModelParams):
+        self.layout = params.architecture()
+        runs, end = [], 0
+        for _, shape in self.layout:
+            runs.append((end, end + math.prod(shape), shape))
+            end = runs[-1][1]
+        self.values, self.scratch = np.empty(end), np.empty(end)
+        self._views = [self.values[lo:hi].reshape(shape) for lo, hi, shape in runs]
+        self._scratch_views = [self.scratch[lo:hi].reshape(shape) for lo, hi, shape in runs]
+
+    def bind(self, params: ModelParams) -> list:
+        """`params`' tensors, each with its data a view of its run of
+        `values`. A tensor whose data is another array (SwAV's `renormalize`
+        gives the prototypes a new one after every step) is copied in first.
+        Raises ValueError for a set of other names or shapes."""
+        if params.architecture() != self.layout:
+            raise ValueError("parameter set differs from the one this state was built for")
+        tensors = params.tensors()
+        for t, view in zip(tensors, self._views):
+            if t.data is not view:
+                np.copyto(view, t.data)
+                t.data = view
+        return tensors
+
+    def gather(self, arrays) -> np.ndarray:
+        """`scratch`, holding each of `arrays` (None as zeros) in its run."""
+        for a, view in zip(arrays, self._scratch_views):
+            if a is None:
+                view.fill(0.0)
+            else:
+                np.copyto(view, a)
+        return self.scratch
+
+
 @dataclass
 class AdamState:
-    """Adam with decoupled weight decay (AdamW-style)."""
+    """Adam with decoupled weight decay (AdamW-style).
+
+    The first step sizes the moments `m` and `v`: flat float64 vectors over
+    that step's parameter set, in its order. A step over a set of other
+    names or shapes raises ValueError."""
 
     lr: float = 5e-4
     weight_decay: float = 1e-3
     step: int = 0
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
+    m: np.ndarray | None = None
+    v: np.ndarray | None = None
+    _flat: _FlatValues | None = field(default=None, init=False, repr=False, compare=False)
+    _tmp: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    _finite: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
 
 def adam_step(state: AdamState, params: ModelParams) -> None:
-    """One update over all params; grads are zeroed after application."""
+    """One update over all params; a grad of None counts as zeros, and the
+    grads are cleared after application. A non-finite gradient raises
+    NonFiniteError before anything is written.
+
+    The gradients are gathered into one vector, and each rule then runs once
+    over all values, in place and in the order of the per-tensor form:
+    m = β1·m + (1−β1)·g, v = β2·v + ((1−β2)·g)·g, and
+    p = p − lr·(m̂/(√v̂ + ε) + wd·p) with m̂ = m/(1−β1ᵗ), v̂ = v/(1−β2ᵗ)."""
+    if state._flat is None:
+        state._flat = _FlatValues(params)
+        n = state._flat.values.size
+        state.m, state.v = np.zeros(n), np.zeros(n)
+        state._tmp, state._finite = np.empty(n), np.empty(n, dtype=bool)
+    tensors = state._flat.bind(params)
+    g = state._flat.gather([p.grad for p in tensors])
+    if not np.isfinite(g, out=state._finite).all():
+        raise NonFiniteError("non-finite gradient")
     state.step += 1
     t = state.step
-    for name, p in params.params.items():
-        g = p.grad if p.grad is not None else np.zeros_like(p.data)
-        if name not in state.m:
-            state.m[name] = np.zeros_like(p.data)
-            state.v[name] = np.zeros_like(p.data)
-        state.m[name] = ADAM_BETA1 * state.m[name] + (1 - ADAM_BETA1) * g
-        state.v[name] = ADAM_BETA2 * state.v[name] + (1 - ADAM_BETA2) * g * g
-        m_hat = state.m[name] / (1 - ADAM_BETA1**t)
-        v_hat = state.v[name] / (1 - ADAM_BETA2**t)
-        p.data = p.data - state.lr * (
-            m_hat / (np.sqrt(v_hat) + ADAM_EPS) + state.weight_decay * p.data
-        )
+    w, m, v, a = state._flat.values, state.m, state.v, state._tmp
+    m *= ADAM_BETA1
+    m += np.multiply(g, 1 - ADAM_BETA1, out=a)
+    v *= ADAM_BETA2
+    np.multiply(g, 1 - ADAM_BETA2, out=a)
+    a *= g
+    v += a
+    b = g  # the gradient is used up: its vector is the second scratch
+    np.divide(m, 1 - ADAM_BETA1**t, out=a)
+    np.divide(v, 1 - ADAM_BETA2**t, out=b)
+    np.sqrt(b, out=b)
+    b += ADAM_EPS
+    a /= b
+    a += np.multiply(w, state.weight_decay, out=b)
+    a *= state.lr
+    w -= a
+    for p in tensors:
         p.zero_grad()
 
 
 def ema_update(target: ModelParams, online: ModelParams, decay: float) -> None:
-    """target <- decay * target + (1 - decay) * online, in place."""
+    """target <- decay * target + (1 - decay) * online, in place, over one
+    flat vector that `target` keeps: its tensors' data become views of it."""
     if not 0.0 <= decay <= 1.0:
         raise ValueError("decay must lie in [0, 1]")
     if target.architecture() != online.architecture():
         raise ValueError("architecture mismatch between target and online params")
-    for name in target.params:
-        t, o = target[name], online[name]
-        t.data = decay * t.data + (1.0 - decay) * o.data
+    if target._ema is None:
+        target._ema = _FlatValues(target)
+    flat = target._ema
+    flat.bind(target)
+    o = flat.gather([t.data for t in online.tensors()])
+    flat.values *= decay
+    o *= 1.0 - decay
+    flat.values += o
 
 
 # ---------------------------------------------------------------------------

@@ -237,10 +237,12 @@ def _fit(
 
     A non-finite loss or trainable gradient raises ValueError naming the
     epoch and the step (both counted from 0), before the Adam step could
-    write it into the parameters; so does a non-finite validation loss,
-    naming the epoch. A loss whose computation stopped at a non-finite value
-    (NonFiniteError: BYOL's target projections, SwAV's Sinkhorn scores)
-    counts as non-finite.
+    write it into the parameters: Adam checks its gathered gradient in one
+    pass and refuses it, and only then is the first non-finite tensor, in
+    trainable order, looked up for the message. So does a non-finite
+    validation loss, naming the epoch. A loss whose computation stopped at
+    a non-finite value (NonFiniteError: BYOL's target projections, SwAV's
+    Sinkhorn scores) counts as non-finite.
     """
     adam = AdamState(lr=config.lr, weight_decay=config.weight_decay)
     log = TrainingLog()
@@ -259,12 +261,16 @@ def _fit(
             if loss is None or not np.isfinite(loss.data):
                 raise ValueError(f"non-finite training loss at epoch {epoch}, step {step}")
             loss.backward()
-            for name, p in trainable.params.items():
-                if p.grad is not None and not np.all(np.isfinite(p.grad)):
-                    raise ValueError(
-                        f"non-finite gradient of {name} at epoch {epoch}, step {step}"
-                    )
-            adam_step(adam, trainable)
+            try:
+                adam_step(adam, trainable)
+            except NonFiniteError:  # a gradient, refused before any write
+                name = next(
+                    name for name, p in trainable.params.items()
+                    if p.grad is not None and not np.all(np.isfinite(p.grad))
+                )
+                raise ValueError(
+                    f"non-finite gradient of {name} at epoch {epoch}, step {step}"
+                ) from None
             after_step()
             losses.append(float(loss.data))
         try:

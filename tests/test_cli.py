@@ -1082,37 +1082,15 @@ class TestManifest:
 
     def test_sigterm_exits_143_with_one_line_and_a_failed_manifest(self, data_dir, tmp_path):
         out = tmp_path / "out"
-        cfg = write_config(tmp_path / "long.json", pre(data_dir, pretrain={"epochs": 100000, "batch_size": 8}))
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
-        child = subprocess.Popen(
-            [sys.executable, "-m", "ecgssl.cli", "pretrain", "--config", str(cfg), "--out", str(out)],
-            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
-        )
-
-        def manifest():
-            try:
-                return json.loads((out / "manifest.json").read_text())
-            except (FileNotFoundError, json.JSONDecodeError):  # not yet written
-                return {}
-
-        try:
-            deadline = time.monotonic() + 30
-            while time.monotonic() < deadline and child.poll() is None and not manifest():
-                time.sleep(0.05)
-            running = manifest()
-            assert child.poll() is None, "the run ended before it was terminated"
+        with live_pretrain(data_dir, tmp_path, out, stderr=subprocess.PIPE) as child:
+            running = read_manifest(out)
             child.send_signal(signal.SIGTERM)
             _, err = child.communicate(timeout=30)
-        finally:
-            if child.poll() is None:
-                child.kill()
-                child.wait()
         assert running.get("status") == "running", running
         assert (running["pid"], running["host"]) == (child.pid, os.uname().nodename)
         assert re.fullmatch(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\dZ", running["started"])
         assert (child.returncode, err) == (143, "terminated\n")
-        final = manifest()
+        final = read_manifest(out)
         assert (final["status"], final["exit_code"], final["error"]) == ("failed", 143, "terminated")
         assert not {"pid", "host", "started"} & final.keys()
 
@@ -1143,6 +1121,79 @@ class TestManifest:
         assert run("synth-gen", tmp_path / "nope.json", tmp_path / "out") == 2
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert manifest["status"] == "failed" and manifest["config"] is None
+
+
+def read_manifest(out) -> dict:
+    try:
+        return json.loads((out / "manifest.json").read_text())
+    except (FileNotFoundError, json.JSONDecodeError):  # not yet written, or being written
+        return {}
+
+
+@contextlib.contextmanager
+def live_pretrain(data_dir, tmp_path, out, stderr=subprocess.DEVNULL):
+    """A `pretrain` child into `out` that trains until it is stopped,
+    yielded once its running manifest exists; killed on exit if still alive."""
+    cfg = write_config(tmp_path / "long.json", pre(data_dir, pretrain={"epochs": 100000, "batch_size": 8}))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    child = subprocess.Popen(
+        [sys.executable, "-m", "ecgssl.cli", "pretrain", "--config", str(cfg), "--out", str(out)],
+        env=env, stdout=subprocess.DEVNULL, stderr=stderr, text=True,
+    )
+    try:
+        deadline = time.monotonic() + 30
+        while time.monotonic() < deadline and child.poll() is None and not read_manifest(out):
+            time.sleep(0.05)
+        assert child.poll() is None, "the run ended before it was stopped"
+        yield child
+    finally:
+        if child.poll() is None:
+            child.kill()
+            child.wait()
+
+
+class TestOutputLock:
+    def test_second_live_run_is_refused_with_one_line(self, data_dir, tmp_path, capsys):
+        out = tmp_path / "out"
+        with live_pretrain(data_dir, tmp_path, out) as child:
+            running = read_manifest(out)
+            code, line = run_failing("augment-preview", preview(data_dir, "Negation", {}), tmp_path, capsys)
+            after = read_manifest(out)
+            lock = (out / ".lock").read_text()
+        holder = f"{child.pid} {os.uname().nodename}"
+        assert (code, line) == (75, f"busy: {out} is the output directory of a live run ({holder})")
+        assert after == running and running["pid"] == child.pid  # its manifest left alone
+        assert lock == holder
+
+    def test_lock_of_a_gone_run_is_taken_over(self, data_dir, tmp_path):
+        gone = subprocess.run([sys.executable, "-c", "import os; print(os.getpid())"],
+                              capture_output=True, text=True, check=True)
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / ".lock").write_text(f"{int(gone.stdout)} {os.uname().nodename}")
+        cfg = write_config(tmp_path / "cfg.json", preview(data_dir, "Negation", {}))
+        assert run("augment-preview", cfg, out) == 0
+        assert read_manifest(out)["status"] == "ok"
+        assert not (out / ".lock").exists()
+
+    @pytest.mark.parametrize(
+        "text", [f"{os.getpid()} {os.uname().nodename}", "1 another-host", "garbage", ""],
+        ids=["live-here", "other-host", "unreadable", "being-written"],
+    )
+    def test_lock_held_elsewhere_is_refused(self, text, data_dir, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / ".lock").write_text(text)
+        code, line = run_failing("augment-preview", preview(data_dir, "Negation", {}), tmp_path, capsys)
+        assert (code, line) == (75, f"busy: {out} is the output directory of a live run ({text})")
+        assert (out / ".lock").read_text() == text
+        assert not (out / "manifest.json").exists()
+
+    def test_finished_runs_leave_no_lock(self, pretrain_dir, tmp_path):
+        assert not (pretrain_dir / ".lock").exists()
+        assert run("synth-gen", tmp_path / "nope.json", tmp_path / "out") == 2
+        assert not (tmp_path / "out" / ".lock").exists()
 
 
 class _Unwritable(float):

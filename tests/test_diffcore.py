@@ -600,6 +600,125 @@ class TestEncoder:
         assert a.tobytes() == b.tobytes()
 
 
+def _adam_per_tensor(state, params):
+    """`dc.adam_step` as it ran tensor by tensor, with `state` a dict holding
+    `step` and per-name `m` and `v`; the flat step is held to its bytes."""
+    state["step"] += 1
+    t = state["step"]
+    for name, p in params.params.items():
+        g = p.grad if p.grad is not None else np.zeros_like(p.data)
+        if name not in state["m"]:
+            state["m"][name] = np.zeros_like(p.data)
+            state["v"][name] = np.zeros_like(p.data)
+        state["m"][name] = dc.ADAM_BETA1 * state["m"][name] + (1 - dc.ADAM_BETA1) * g
+        state["v"][name] = dc.ADAM_BETA2 * state["v"][name] + (1 - dc.ADAM_BETA2) * g * g
+        m_hat = state["m"][name] / (1 - dc.ADAM_BETA1**t)
+        v_hat = state["v"][name] / (1 - dc.ADAM_BETA2**t)
+        p.data = p.data - state["lr"] * (
+            m_hat / (np.sqrt(v_hat) + dc.ADAM_EPS) + state["weight_decay"] * p.data
+        )
+        p.zero_grad()
+
+
+def _ema_per_tensor(target, online, decay):
+    """`dc.ema_update` as it ran tensor by tensor."""
+    for name in target.params:
+        t, o = target[name], online[name]
+        t.data = decay * t.data + (1.0 - decay) * o.data
+
+
+def _mixed_params(rng):
+    """Tensors of mixed shape, one of which ("frozen") never gets a grad."""
+    shapes = {"conv.weight": (4, 3, 5), "conv.bias": (4,), "fc.weight": (7, 2),
+              "frozen": (3, 3), "scale": ()}
+    return dc.ModelParams(
+        {n: dc.Tensor(rng.uniform(-1, 1, s), requires_grad=True) for n, s in shapes.items()}
+    )
+
+
+def _bytes(params):
+    return [p.data.tobytes() for p in params.tensors()]
+
+
+class TestFlatOptimizerSameBytes:
+    @pytest.mark.parametrize("weight_decay", [0.0, 1e-3, 0.3])
+    def test_adam_equals_per_tensor(self, weight_decay):
+        rng = np.random.default_rng(17)
+        flat = _mixed_params(rng)
+        ref = flat.copy()
+        state = dc.AdamState(lr=0.03, weight_decay=weight_decay)
+        ref_state = {"step": 0, "m": {}, "v": {}, "lr": 0.03, "weight_decay": weight_decay}
+        for step in range(7):
+            for name in ("conv.weight", "conv.bias", "fc.weight", "scale"):
+                shape = flat[name].shape
+                g = np.zeros(shape) if step == 3 else (
+                    rng.standard_normal(shape) * 10.0 ** rng.integers(-6, 3))
+                flat[name].grad, ref[name].grad = g, g.copy()
+            if step == 4:  # a tensor given a new array between steps, as SwAV's renormalize does
+                for params in (flat, ref):
+                    params["fc.weight"].data = params["fc.weight"].data / 2.0
+            dc.adam_step(state, flat)
+            _adam_per_tensor(ref_state, ref)
+            assert _bytes(flat) == _bytes(ref)
+            assert all(p.grad is None for p in flat.tensors())
+        assert state.step == ref_state["step"] == 7
+        for moment in ("m", "v"):
+            per_tensor = np.concatenate([a.ravel() for a in ref_state[moment].values()])
+            assert getattr(state, moment).tobytes() == per_tensor.tobytes()
+
+    @pytest.mark.parametrize("decay", [0.0, 0.5, 0.996, 1.0])
+    def test_ema_equals_per_tensor(self, decay):
+        rng = np.random.default_rng(23)
+        target, online = _mixed_params(rng), _mixed_params(rng)
+        ref = target.copy()
+        for step in range(6):
+            if step == 2:  # online data replaced, as Adam's first step does
+                online = online.copy()
+            for p in online.tensors():
+                p.data = p.data + rng.standard_normal(p.shape)
+            dc.ema_update(target, online, decay)
+            _ema_per_tensor(ref, online, decay)
+            assert _bytes(target) == _bytes(ref)
+
+    def test_adam_state_refuses_another_parameter_set(self, rng):
+        params = _mixed_params(rng)
+        state = dc.AdamState()
+        dc.adam_step(state, params)
+        for other in (params.subset("conv"), _mixed_params(rng).merged_with(
+                dc.ModelParams({"extra": dc.Tensor(np.zeros(2), requires_grad=True)}))):
+            with pytest.raises(ValueError, match="parameter set differs"):
+                dc.adam_step(state, other)
+        renamed = dc.ModelParams({f"x.{n}": p for n, p in params.params.items()})
+        with pytest.raises(ValueError, match="parameter set differs"):
+            dc.adam_step(state, renamed)
+        dc.adam_step(state, params.copy())  # the same names and shapes: allowed
+        assert state.step == 2
+
+    def test_ema_target_refuses_another_parameter_set(self, rng):
+        target = _mixed_params(rng)
+        dc.ema_update(target, _mixed_params(rng), 0.5)
+        target.params["extra"] = dc.Tensor(np.zeros(2))
+        online = _mixed_params(rng).merged_with(dc.ModelParams({"extra": dc.Tensor(np.ones(2))}))
+        with pytest.raises(ValueError, match="parameter set differs"):
+            dc.ema_update(target, online, 0.5)
+
+    def test_nonfinite_gradient_refused_before_any_write(self, rng):
+        params = _mixed_params(rng)
+        state = dc.AdamState(lr=0.1)
+        for p in params.tensors():
+            p.grad = rng.standard_normal(p.shape)
+        dc.adam_step(state, params)
+        before = _bytes(params), state.m.tobytes(), state.v.tobytes()
+        for p in params.tensors():
+            p.grad = rng.standard_normal(p.shape)
+        params["fc.weight"].grad[1, 0] = np.nan
+        with pytest.raises(dc.NonFiniteError):
+            dc.adam_step(state, params)
+        assert (_bytes(params), state.m.tobytes(), state.v.tobytes()) == before
+        assert state.step == 1
+        assert np.isnan(params["fc.weight"].grad[1, 0])  # the grads are kept for the report
+
+
 class TestAdam:
     def params_one(self, value):
         from collections import OrderedDict

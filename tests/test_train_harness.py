@@ -280,6 +280,22 @@ def poison_after_adam_step(monkeypatch, name, step):
     monkeypatch.setattr(th, "adam_step", poisoned)
 
 
+def poison_grads_before_adam_step(monkeypatch, names, step):
+    """Write an inf into the gradient of each trainable in `names` right
+    before Adam step `step` (from 1)."""
+    calls = []
+    adam_step = th.adam_step
+
+    def poisoned(state, params):
+        calls.append(None)
+        if len(calls) == step:
+            for name in names:
+                params[name].grad.flat[-1] = np.inf
+        adam_step(state, params)
+
+    monkeypatch.setattr(th, "adam_step", poisoned)
+
+
 def pretrain_quick(method="SimCLR"):
     # 24 training windows in batches of 8: three steps an epoch
     th.pretrain(quick_pretrain_cfg(method), make_split(np.random.default_rng(0)), tiny_cfg())
@@ -332,6 +348,28 @@ class TestNonFiniteStep:
             ValueError, match="^non-finite gradient of proj.fc2.bias at epoch 1, step 1$"
         ):
             pretrain_quick()
+
+    # the last trainable tensor of BYOL and of SwAV (SimCLR's is above): Adam
+    # checks its gathered gradient in one pass, and the name comes from a
+    # lookup only on failure
+    @pytest.mark.parametrize("method, name", [("BYOL", "pred.fc2.bias"), ("SwAV", "prototypes")])
+    def test_late_gradient_names_parameter_epoch_and_step(self, monkeypatch, method, name):
+        poison_grads_before_adam_step(monkeypatch, [name], 5)  # epoch 1, step 1
+        with pytest.raises(ValueError, match=f"^non-finite gradient of {name} at epoch 1, step 1$"):
+            pretrain_quick(method)
+
+    def test_gradient_names_first_nonfinite_in_trainable_order(self, monkeypatch):
+        poison_grads_before_adam_step(monkeypatch, ["proj.fc2.bias", "embed.weight"], 2)
+        with pytest.raises(ValueError, match="^non-finite gradient of embed.weight at epoch 0, step 1$"):
+            pretrain_quick()
+
+    @pytest.mark.parametrize("freeze", [False, True])
+    def test_finetune_gradient_names_parameter_epoch_and_step(self, monkeypatch, freeze):
+        cfg = tiny_cfg()
+        config = th.FinetuneConfig(epochs=2, batch_size=8, freeze_encoder=freeze)
+        poison_grads_before_adam_step(monkeypatch, ["head.bias"], 6)  # epoch 1, step 2
+        with pytest.raises(ValueError, match="^non-finite gradient of head.bias at epoch 1, step 2$"):
+            th.finetune(dc.init_encoder_params(cfg, 0), config, make_split(np.random.default_rng(0)), cfg)
 
     @pytest.mark.parametrize("freeze, name", [(False, "conv0.weight"), (True, "head.weight")])
     def test_finetune_loss_names_epoch_and_step(self, monkeypatch, freeze, name):
