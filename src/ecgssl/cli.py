@@ -27,6 +27,7 @@ import argparse
 import contextlib
 import csv
 import difflib
+import fcntl
 import functools
 import hashlib
 import json
@@ -35,7 +36,6 @@ import os
 import signal
 import sys
 import threading
-import time
 import warnings
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
@@ -226,9 +226,8 @@ def _config_hash(config) -> str:
 def _write_manifest(out_dir: Path, command: str, config, seed, code: int | None, error):
     """The run's record; `code` None marks a run that has not ended."""
     manifest = dict(command=command, seed=seed, config_hash=_config_hash(config), config=config)
-    if code is None:  # what a killed run leaves: pid, host and start tell it from a live one
-        started = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
-        manifest.update(status="running", pid=os.getpid(), host=os.uname().nodename, started=started)
+    if code is None:  # also what a killed run leaves
+        manifest.update(status="running")
     elif code == EXIT_OK:
         manifest.update(status="ok")
     else:
@@ -290,14 +289,16 @@ def _load_windows(dataset_path, spec: dict, fractions=None, seed: int = 0, least
     their `use`.
     """
     records = _load_dataset(dataset_path)
+    leads = sorted({r.n_leads for r in records})
     if "encoder" in spec:
-        leads = spec["encoder"]["n_leads"]
-        other = sorted({r.n_leads for r in records} - {leads})
+        other = [n for n in leads if n != spec["encoder"]["n_leads"]]
         if other:
             raise DataError(
                 f"{dataset_path} has {other[0]}-lead records; "
-                f"the checkpoint's encoder takes {leads} leads"
+                f"the checkpoint's encoder takes {spec['encoder']['n_leads']} leads"
             )
+    elif len(leads) > 1:
+        raise DataError(f"{dataset_path} mixes records of {leads[0]} and {leads[1]} leads")
     target_hz = spec["target_hz"]
 
     def at_target(r):
@@ -310,7 +311,10 @@ def _load_windows(dataset_path, spec: dict, fractions=None, seed: int = 0, least
     if fractions is None:
         split = signal_core.DatasetSplit(records, [], [])
     else:
-        split = signal_core.split_by_subject(records, fractions, seed)
+        try:
+            split = signal_core.split_by_subject(records, fractions, seed)
+        except signal_core.NotEnoughData as e:
+            raise DataError(f"{dataset_path} has {e}") from None
     split = signal_core.split_windows(
         split, spec["window_len"], standardize=spec["standardize_windows"]
     )
@@ -420,7 +424,10 @@ def cmd_pretrain(c: _Config, out_dir: Path, seed: int):
     leads = split.train[0].data.shape[0]
     encoder = _read(EncoderConfig, {"n_leads": leads, **c.encoder}, "encoder")
     spec["encoder"] = asdict(encoder)
-    params, log = train_harness.pretrain(pc, split, encoder)
+    try:
+        params, log = train_harness.pretrain(pc, split, encoder)
+    except signal_core.NotEnoughData as e:  # raised before any training
+        raise DataError(f"{c.dataset}: {e}") from None
     save_checkpoint(out_dir / "checkpoint.ckpt", params, spec)
     log.to_csv(out_dir / "pretrain_log.csv")
 
@@ -544,33 +551,34 @@ _COMMANDS = {
 }
 
 
-def _lock(out_dir: Path):
-    """Create `out_dir/.lock` with O_EXCL, holding "<pid> <host>"; take over a
-    lock whose pid is gone from this host. Returns None once this run holds
-    it, else the holder's text (unreadable text counts as a live holder)."""
-    path, host, holder = out_dir / ".lock", os.uname().nodename, ""
-    for _ in range(2):
-        try:
-            fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o644)
-        except FileExistsError:
+def _lock(out_dir: Path, held: contextlib.ExitStack):
+    """Take an exclusive flock on `out_dir/.lock`, then write "<pid> <host>"
+    into it; `held` unlinks the file, then closes it. A file that no process
+    holds is taken over, whatever it reads. Returns None once this run holds
+    the lock, else the holder's text."""
+    path = out_dir / ".lock"
+    while True:
+        with contextlib.ExitStack() as opened:
+            fd = os.open(path, os.O_RDWR | os.O_CREAT, 0o644)
+            opened.callback(os.close, fd)
             try:
-                holder = path.read_text(errors="replace")
-                pid, _, held_on = holder.partition(" ")
-                if held_on != host or int(pid) < 1:
-                    return holder
-                os.kill(int(pid), 0)
-                return holder
-            except FileNotFoundError:  # released meanwhile
-                pass
-            except ProcessLookupError:  # its run is gone
-                path.unlink(missing_ok=True)
-            except (ValueError, PermissionError):  # unreadable, or another user's live run
-                return holder
-        else:
-            os.write(fd, f"{os.getpid()} {host}".encode())
-            os.close(fd)
-            return None
-    return holder
+                fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            except BlockingIOError:
+                return os.read(fd, 4096).decode(errors="replace")
+            except OSError as e:
+                raise OSError(f"cannot lock {path}: {e.strerror}") from None
+            # a holder unlinks the file before it lets go: a file no longer at
+            # `path` is one that no other run will see held, so open again
+            try:
+                current = os.stat(path)
+            except FileNotFoundError:
+                continue
+            if os.path.samestat(os.fstat(fd), current):
+                os.ftruncate(fd, 0)
+                os.write(fd, f"{os.getpid()} {os.uname().nodename}".encode())
+                opened.callback(path.unlink, missing_ok=True)
+                held.enter_context(opened.pop_all())
+                return None
 
 
 @contextlib.contextmanager
@@ -578,6 +586,12 @@ def _command_scope():
     """SIGTERM ends the run like Ctrl-C, and each warning prints as one line."""
     def terminate(signum, frame):
         raise _Terminated
+
+    # numpy loads numpy.random on first use, under a bare `except` that would
+    # swallow the _Terminated (or Ctrl-C) raised there; load it before the
+    # handler is set. Not at module level: ecgbench imports this module
+    # before its set-up.
+    import numpy.random  # noqa: F401
 
     with warnings.catch_warnings():
         warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
@@ -606,11 +620,10 @@ def main(argv=None) -> int:
     with _command_scope(), contextlib.ExitStack() as held:
         try:
             out_dir.mkdir(parents=True, exist_ok=True)
-            holder = _lock(out_dir)
+            holder = _lock(out_dir, held)
             if holder is not None:  # that run's manifest and outputs are left alone
                 print(f"busy: {out_dir} is the output directory of a live run ({holder})", file=sys.stderr)
                 return EXIT_BUSY
-            held.callback((out_dir / ".lock").unlink, missing_ok=True)
             config = _load_config(args.config)
             c = _read(_Config, config, "")
             c.raw = config

@@ -604,9 +604,9 @@ class _FlatValues:
 
     def bind(self, params: ModelParams) -> list:
         """`params`' tensors, each with its data a view of its run of
-        `values`. A tensor whose data is another array (SwAV's `renormalize`
-        gives the prototypes a new one after every step) is copied in first.
-        Raises ValueError for a set of other names or shapes."""
+        `values`. A tensor whose data is another array (on the first step,
+        or after its caller gave it a new one) is copied in first. Raises
+        ValueError for a set of other names or shapes."""
         if params.architecture() != self.layout:
             raise ValueError("parameter set differs from the one this state was built for")
         tensors = params.tensors()

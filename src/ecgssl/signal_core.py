@@ -16,7 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .diffcore import atomic_open
+
 __all__ = [
+    "NotEnoughData",
     "LabelSet",
     "EcgRecord",
     "Window",
@@ -45,6 +48,11 @@ MAX_RATE_HZ = 10_000
 # the most `resample` raises a record's rate by; it checks this before it
 # sizes the output, which grows with the ratio
 MAX_UPSAMPLING = 100
+
+
+class NotEnoughData(ValueError):
+    """Too few subjects or windows for what was asked of them, found before
+    any training starts."""
 
 
 @dataclass(frozen=True)
@@ -283,7 +291,9 @@ def split_by_subject(records, fractions, seed: int) -> DatasetSplit:
         raise ValueError("expected (train, val, test) fractions")
     subjects = sorted({r.subject_id for r in records})
     if len(subjects) < 3:
-        raise ValueError("need at least as many subjects as partitions")
+        raise NotEnoughData(
+            f"{len(subjects)} subject(s); a train/validation/test split needs at least 3"
+        )
     rng = np.random.default_rng(seed)
     order = [subjects[i] for i in rng.permutation(len(subjects))]
 
@@ -448,7 +458,7 @@ _ESIG_VERSION = 1
 
 def write_record_csv(path, record: EcgRecord):
     """One row per sample, one column per lead, header with lead names."""
-    with open(path, "w", newline="") as f:
+    with atomic_open(path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow([f"lead_{i}" for i in range(record.n_leads)])
         for row in record.leads.T:
@@ -458,7 +468,7 @@ def write_record_csv(path, record: EcgRecord):
 def write_record_binary(path, record: EcgRecord):
     """Little-endian: "ESIG", u32 version, u32 n_leads, u64 n_samples,
     f64 sampling_rate_hz, then f32 samples lead-major."""
-    with open(path, "wb") as f:
+    with atomic_open(path, "wb") as f:
         f.write(_ESIG_MAGIC)
         f.write(struct.pack("<IIQd", _ESIG_VERSION, record.n_leads, record.n_samples, record.sampling_rate_hz))
         f.write(np.ascontiguousarray(record.leads, dtype=np.float32).tobytes())
@@ -494,7 +504,7 @@ def read_record_binary(path, subject_id=None, labels=None) -> EcgRecord:
 
 def write_label_sidecar(path, mapping):
     """record id -> semicolon-separated class names."""
-    with open(path, "w", newline="") as f:
+    with atomic_open(path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["record_id", "classes"])
         for rid, names in mapping.items():

@@ -72,7 +72,7 @@ class PrototypeBank:
         """Project every prototype row back to the unit sphere."""
         norms = np.linalg.norm(self.C.data, axis=1, keepdims=True)
         norms[norms == 0] = 1.0
-        self.C.data = self.C.data / norms
+        self.C.data /= norms
 
 
 @dataclass

@@ -35,6 +35,7 @@ from .diffcore import (
     sigmoid,
 )
 from .metrics import PredictionBatch, macro_f1
+from .signal_core import NotEnoughData
 from .ssl_objectives import (
     PrototypeBank,
     ViewBatchEmbeddings,
@@ -289,16 +290,16 @@ def _fit(
 def pretrain(config: PretrainConfig, split, enc_cfg: EncoderConfig):
     """Train one SSL method and return (best params by validation loss, log)."""
     if not split.train:
-        raise ValueError("empty training split")
+        raise NotEnoughData("empty training split")
     set_up, min_batch = _SSL[config.method]
     if len(split.validation) < min_batch:
-        raise ValueError(
+        raise NotEnoughData(
             f"{config.method} needs at least {min_batch} validation window(s), "
             f"got {len(split.validation)}: model selection undefined"
         )
     X, X_val = _stack(split.train), _stack(split.validation)
     if config.batch_size > len(X):
-        raise ValueError(
+        raise NotEnoughData(
             f"batch_size {config.batch_size} exceeds the {len(X)} training windows"
         )
 
@@ -342,9 +343,9 @@ def finetune(
     `init_head` warm-starts the head (probe-then-finetune): pass the
     head.* parameters of a previous frozen-encoder run."""
     if not split.train:
-        raise ValueError("empty training split")
+        raise NotEnoughData("empty training split")
     if not split.validation:
-        raise ValueError("empty validation set: model selection undefined")
+        raise NotEnoughData("empty validation set: model selection undefined")
     X, (Y, _classes) = _stack(split.train), _labels_matrix(split.train)
     X_val, (Y_val, _) = _stack(split.validation), _labels_matrix(split.validation)
 

@@ -1,4 +1,6 @@
 import contextlib
+import errno
+import fcntl
 import io
 import json
 import os
@@ -173,20 +175,33 @@ class TestPretrain:
         )
         assert run("pretrain", cfg, tmp_path / "out") == 3
 
-    def test_no_validation_windows_is_runtime_error(self, data_dir, tmp_path, capsys):
-        cfg = write_config(
-            tmp_path / "pre.json",
-            {
-                "dataset": str(data_dir / "cohortA"),
-                "encoder": SMALL_ENCODER,
-                "fractions": [1.0, 0.0, 0.0],
-                "pretrain": {"epochs": 1, "batch_size": 8},
-            },
-        )
-        assert run("pretrain", cfg, tmp_path / "out") == 4
-        err = capsys.readouterr().err
-        assert "model selection undefined" in err
-        assert "Traceback" not in err
+    def test_no_validation_windows_is_data_error(self, data_dir, tmp_path, capsys):
+        config = pre(data_dir, fractions=[1.0, 0.0, 0.0], pretrain={"epochs": 1, "batch_size": 8})
+        code, line = run_failing("pretrain", config, tmp_path, capsys)
+        assert (code, line) == (3, f"data error: {data_dir / 'cohortA'}: SimCLR needs at least 2 "
+                                   "validation window(s), got 0: model selection undefined")
+        assert not (tmp_path / "out" / "checkpoint.ckpt").exists()
+
+    @pytest.mark.parametrize("case", ["two-subjects", "mixed-leads", "batch-too-large"])
+    def test_cohort_too_small_or_mixed_is_data_error(self, case, data_dir, tmp_path, capsys):
+        cohort = tmp_path / "cohort"
+        (cohort / "records").mkdir(parents=True)
+        records = sorted((data_dir / "cohortA" / "records").glob("*.esig"))
+        if case == "two-subjects":
+            records = records[:2]
+        if case == "mixed-leads":
+            records.append(sorted((data_dir / "cohortTwoLead" / "records").glob("*.esig"))[0])
+        for i, f in enumerate(records):
+            (cohort / "records" / f"r{i:02d}.esig").write_bytes(f.read_bytes())
+        batch_size = 512 if case == "batch-too-large" else 8
+        config = pre(data_dir, dataset=str(cohort), pretrain={"epochs": 1, "batch_size": batch_size})
+        code, line = run_failing("pretrain", config, tmp_path, capsys)
+        expected = {
+            "two-subjects": f"{cohort} has 2 subject(s); a train/validation/test split needs at least 3",
+            "mixed-leads": f"{cohort} mixes records of 1 and 2 leads",
+            "batch-too-large": f"{cohort}: batch_size 512 exceeds the ",
+        }[case]
+        assert code == 3 and line.startswith(f"data error: {expected}"), line
         assert not (tmp_path / "out" / "checkpoint.ckpt").exists()
 
 
@@ -1050,6 +1065,7 @@ class TestManifest:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["status"] == "failed" and manifest["exit_code"] == 130
         assert manifest["error"] == "interrupted"
+        assert not (out / ".lock").exists()
 
     def test_killed_run_leaves_running_not_an_earlier_ok(self, data_dir, pretrain_dir, tmp_path):
         out = tmp_path / "out"
@@ -1087,12 +1103,33 @@ class TestManifest:
             child.send_signal(signal.SIGTERM)
             _, err = child.communicate(timeout=30)
         assert running.get("status") == "running", running
-        assert (running["pid"], running["host"]) == (child.pid, os.uname().nodename)
-        assert re.fullmatch(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\dZ", running["started"])
+        assert set(running) == {"command", "config", "config_hash", "seed", "status"}
         assert (child.returncode, err) == (143, "terminated\n")
         final = read_manifest(out)
         assert (final["status"], final["exit_code"], final["error"]) == ("failed", 143, "terminated")
-        assert not {"pid", "host", "started"} & final.keys()
+        assert not (out / ".lock").exists()
+
+    def test_numpy_random_is_loaded_before_the_sigterm_handler_is_set(self, tmp_path):
+        # numpy loads numpy.random on first use under a bare `except`, which
+        # would swallow a SIGTERM that arrives meanwhile
+        script = f"""
+import signal, sys
+from ecgssl import cli
+before = "numpy.random" in sys.modules
+seen = []
+set_handler = signal.signal
+def spy(signum, handler):
+    if signum == signal.SIGTERM and not seen:
+        seen.append("numpy.random" in sys.modules)
+    return set_handler(signum, handler)
+signal.signal = spy
+cli.main(["synth-gen", "--config", {str(tmp_path / "nope.json")!r}, "--out", {str(tmp_path / "out")!r}])
+print(before, seen)
+"""
+        src = str(Path(cli.__file__).resolve().parents[1])
+        done = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, timeout=60)
+        assert done.stdout.split() == ["False", "[True]"], done.stderr
 
     def test_handlers_are_restored_and_set_only_on_the_main_thread(self, tmp_path, capsys):
         before = signal.getsignal(signal.SIGTERM), warnings.showwarning
@@ -1163,8 +1200,20 @@ class TestOutputLock:
             lock = (out / ".lock").read_text()
         holder = f"{child.pid} {os.uname().nodename}"
         assert (code, line) == (75, f"busy: {out} is the output directory of a live run ({holder})")
-        assert after == running and running["pid"] == child.pid  # its manifest left alone
+        assert after == running and running["status"] == "running"  # its manifest left alone
         assert lock == holder
+
+    def test_lock_held_in_this_process_is_refused(self, data_dir, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        with open(out / ".lock", "w") as f:
+            f.write("4242 elsewhere")
+            f.flush()
+            fcntl.flock(f, fcntl.LOCK_EX)
+            code, line = run_failing("augment-preview", preview(data_dir, "Negation", {}), tmp_path, capsys)
+            assert (out / ".lock").read_text() == "4242 elsewhere"
+        assert (code, line) == (75, f"busy: {out} is the output directory of a live run (4242 elsewhere)")
+        assert not (out / "manifest.json").exists()
 
     def test_lock_of_a_gone_run_is_taken_over(self, data_dir, tmp_path):
         gone = subprocess.run([sys.executable, "-c", "import os; print(os.getpid())"],
@@ -1177,23 +1226,70 @@ class TestOutputLock:
         assert read_manifest(out)["status"] == "ok"
         assert not (out / ".lock").exists()
 
+    # a file that no process holds is a leftover, whatever it reads
     @pytest.mark.parametrize(
         "text", [f"{os.getpid()} {os.uname().nodename}", "1 another-host", "garbage", ""],
         ids=["live-here", "other-host", "unreadable", "being-written"],
     )
-    def test_lock_held_elsewhere_is_refused(self, text, data_dir, tmp_path, capsys):
+    def test_leftover_lock_is_taken_over(self, text, data_dir, tmp_path):
         out = tmp_path / "out"
         out.mkdir()
         (out / ".lock").write_text(text)
-        code, line = run_failing("augment-preview", preview(data_dir, "Negation", {}), tmp_path, capsys)
-        assert (code, line) == (75, f"busy: {out} is the output directory of a live run ({text})")
-        assert (out / ".lock").read_text() == text
-        assert not (out / "manifest.json").exists()
+        cfg = write_config(tmp_path / "cfg.json", preview(data_dir, "Negation", {}))
+        assert run("augment-preview", cfg, out) == 0
+        assert read_manifest(out)["status"] == "ok"
+        assert not (out / ".lock").exists()
 
     def test_finished_runs_leave_no_lock(self, pretrain_dir, tmp_path):
         assert not (pretrain_dir / ".lock").exists()
         assert run("synth-gen", tmp_path / "nope.json", tmp_path / "out") == 2
         assert not (tmp_path / "out" / ".lock").exists()
+
+    def test_filesystem_without_flock_exits_4_with_one_line(self, data_dir, tmp_path, capsys, monkeypatch):
+        def unsupported(fd, operation):
+            raise OSError(errno.EOPNOTSUPP, os.strerror(errno.EOPNOTSUPP))
+
+        monkeypatch.setattr(cli.fcntl, "flock", unsupported)
+        code, line = run_failing("augment-preview", preview(data_dir, "Negation", {}), tmp_path, capsys)
+        out = tmp_path / "out"
+        assert (code, line) == (4, f"runtime error: cannot lock {out / '.lock'}: "
+                                   f"{os.strerror(errno.EOPNOTSUPP)}")
+
+    def test_threads_never_hold_it_together(self, tmp_path):
+        # flock excludes separate opens of the file within one process too
+        guard, inside, most, taken, errors = threading.Lock(), [0], [0], [0], []
+
+        def take_and_release(times):
+            try:
+                deadline = time.monotonic() + 60
+                while times and time.monotonic() < deadline:
+                    with contextlib.ExitStack() as held:
+                        if cli._lock(tmp_path, held) is not None:
+                            continue
+                        with guard:
+                            inside[0] += 1
+                            most[0] = max(most[0], inside[0])
+                        time.sleep(0)  # let the other threads try meanwhile
+                        with guard:
+                            inside[0] -= 1
+                            taken[0] += 1
+                        times -= 1
+            except Exception as e:  # reported by the test thread
+                errors.append(e)
+
+        workers = [threading.Thread(target=take_and_release, args=(200,)) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often, inside _lock too
+        try:
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=90)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(w.is_alive() for w in workers)
+        assert errors == [] and (most[0], taken[0]) == (1, 8 * 200)
+        assert not (tmp_path / ".lock").exists()
 
 
 class _Unwritable(float):
@@ -1221,14 +1317,35 @@ def _write_manifest(path, fail):
     cli._write_manifest(path.parent, "pretrain", {"seed": 1}, 0, cli.EXIT_DATA, error)
 
 
+def _record(fail, leads=((0.5, -0.25), (1.0, 2.0))):
+    record = signal_core.EcgRecord("r1", np.array(leads), 100.0, signal_core.LabelSet((), ()))
+    if fail:  # the header is written before the sample "x" fails to convert
+        record.leads = np.array([[0.5, "x"]], dtype=object)
+    return record
+
+
+def _write_esig(path, fail):
+    signal_core.write_record_binary(path, _record(fail))
+
+
+def _write_record_csv(path, fail):
+    signal_core.write_record_csv(path, _record(fail))
+
+
+def _write_labels(path, fail):
+    # a cut labels.csv would name a class that is not there
+    signal_core.write_label_sidecar(path, {"r1": ["normal"], "r2": [1 if fail else "fast_rate"]})
+
+
 @pytest.mark.parametrize("name, write", [
     ("model.ckpt", _write_checkpoint), ("log.csv", _write_log), ("manifest.json", _write_manifest),
+    ("r1.esig", _write_esig), ("augmented.csv", _write_record_csv), ("labels.csv", _write_labels),
 ])
 def test_a_write_that_fails_midway_keeps_the_old_file(tmp_path, name, write):
     path = tmp_path / name
     write(path, fail=False)
     before = path.read_bytes()
-    with pytest.raises((OSError, TypeError, UnicodeEncodeError)):
+    with pytest.raises((OSError, TypeError, ValueError)):
         write(path, fail=True)
     assert path.read_bytes() == before
     assert os.listdir(tmp_path) == [name]  # no temporary file left behind

@@ -654,7 +654,7 @@ class TestFlatOptimizerSameBytes:
                 g = np.zeros(shape) if step == 3 else (
                     rng.standard_normal(shape) * 10.0 ** rng.integers(-6, 3))
                 flat[name].grad, ref[name].grad = g, g.copy()
-            if step == 4:  # a tensor given a new array between steps, as SwAV's renormalize does
+            if step == 4:  # a tensor given a new array between steps, which bind copies in
                 for params in (flat, ref):
                     params["fc.weight"].data = params["fc.weight"].data / 2.0
             dc.adam_step(state, flat)

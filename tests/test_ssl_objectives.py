@@ -262,9 +262,12 @@ class TestSwav:
     def test_prototype_renormalize(self):
         bank = so.PrototypeBank(4, 3, seed=0)
         bank.C.data *= 7.0
+        data = bank.C.data
         bank.renormalize()
         np.testing.assert_allclose(np.linalg.norm(bank.C.data, axis=1), 1.0,
                                    atol=1e-12)
+        # in place: after an Adam step the prototypes stay a view of its values
+        assert bank.C.data is data
 
 
 class TestOptimizationSmoke:

@@ -24,6 +24,8 @@ the same lines exactly when their outputs are byte-identical:
   of SimCLR on the default encoder at batch size 32 and 250-sample windows.
   The CLI chain sees the parameters only through float32 checkpoints.
 
+It fails if any output directory of the chain still holds a `.lock`.
+
 Compare two checkouts with `diff <(python tools/digests.py a/src)
 <(python tools/digests.py b/src)`.
 """
@@ -160,6 +162,10 @@ def main(argv) -> int:
     done = subprocess.run([sys.executable, "-c", TRAIN], env=env,
                           capture_output=True, text=True, check=True)
     (WORK / "inproc" / "train.txt").write_text(done.stdout)
+    # every run of the chain has ended, so none may still hold its directory
+    locks = sorted(str(p.relative_to(WORK)) for p in WORK.rglob(".lock"))
+    if locks:
+        sys.exit("lock files left behind: " + ", ".join(locks))
 
     for path in sorted(p for p in WORK.rglob("*") if p.is_file()):
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
