@@ -44,7 +44,11 @@ class RngStream:
 
 def _gaussian_noise(x, p, rng):
     """Additive i.i.d. Normal(0, sigma^2) noise on every sample."""
-    noise = rng.generator.normal(0.0, p["sigma"], size=x.shape)
+    # normal(0, sigma)'s draws in fewer steps: normal() also adds 0.0, which
+    # changes a draw only by turning -0.0 into 0.0
+    noise = rng.generator.standard_normal(x.shape)
+    if p["sigma"] != 1:
+        noise *= p["sigma"]
     noise += x
     return noise
 
@@ -77,8 +81,10 @@ def _emg_noise(x, p, rng):
     domain, then rescaled so each window's sample std is sigma again.
     """
     n = x.shape[2]
-    spec = np.fft.rfft(rng.generator.normal(0.0, p["sigma"], size=x.shape), axis=2)
-    spec[:, :, np.fft.rfftfreq(n) < 0.15] = 0.0  # cycles per sample; Nyquist = 0.5
+    # normal(0, sigma)'s draws as in GaussianNoise; then the bins below 0.15
+    # cycles per sample (Nyquist = 0.5), a prefix as rfftfreq increases
+    spec = np.fft.rfft(rng.generator.standard_normal(x.shape) * p["sigma"], axis=2)
+    spec[:, :, : np.count_nonzero(np.fft.rfftfreq(n) < 0.15)] = 0.0
     filtered = np.fft.irfft(spec, n=n, axis=2)
     std = filtered.std(axis=(1, 2))
     filtered *= np.divide(p["sigma"], std, out=np.ones_like(std), where=std > 0)[:, None, None]
@@ -92,8 +98,9 @@ def _mask(x, p, rng):
     c = rng.generator.uniform(p["a_pct"], p["b_pct"], size=n_windows)
     run = np.round(c / 100.0 * n).astype(np.int64)[:, None]
     start = rng.generator.integers(0, n - run + 1, size=(n_windows, n_leads))
-    t = np.arange(n)
-    return np.where((t >= start[..., None]) & (t < (start + run)[..., None]), 0.0, x)
+    # start <= t < start + run as one comparison: below start, t - start wraps
+    inside = (np.arange(n) - start[..., None]).view(np.uint64) < run.view(np.uint64)[..., None]
+    return np.where(inside, 0.0, x)
 
 
 def _orders(rng, n_windows, n):
@@ -180,18 +187,19 @@ def _time_warp(x, p, rng):
         raise ValueError("window too short for the requested segment count")
     _check_fit(n, w, p["r_pct"])
     n_seg, n_stretch = _segment_counts(w)
-    stretched = np.sort(_orders(rng, n_windows, n_seg)[:, :n_stretch], axis=1)
+    groups = {}  # the windows of each draw of stretched segments
+    for i, s in enumerate(_orders(rng, n_windows, n_seg)[:, :n_stretch].tolist()):
+        groups.setdefault(tuple(sorted(s)), []).append(i)
     out = np.empty_like(x)
-    for s in np.unique(stretched, axis=0):
-        rows = np.flatnonzero((stretched == s).all(axis=1))
-        lo, hi, frac = _warp_plan(n, w, p["r_pct"], tuple(s.tolist()))
-        windows = x[rows]
-        y0 = np.take(windows, lo, axis=2)
-        with np.errstate(invalid="ignore", over="ignore"):  # huge values may overflow
+    with np.errstate(invalid="ignore", over="ignore"):  # huge values may overflow
+        for s, rows in groups.items():
+            windows = x[rows] if len(groups) > 1 else x  # one group: no gather
+            lo, hi, frac = _warp_plan(n, w, p["r_pct"], s)
+            y0 = np.take(windows, lo, axis=2)
             warped = np.take(windows, hi, axis=2) - y0
             warped *= frac
             warped += y0
-        out[rows] = warped
+            out[rows] = warped
     return out
 
 
@@ -210,16 +218,20 @@ def _combine(x, p, rng):
     """Apply four distinct augmentations drawn without replacement, in order.
 
     Each window takes the first four of a random order of the pool. Each
-    stage applies each pool recipe once, to the windows that picked it.
+    stage applies each pool recipe once, in pool order, to the windows that
+    picked it.
     """
     picks = _orders(rng, x.shape[0], len(COMBINATION_POOL))[:, :4]
-    x = x.copy()
+    out = np.empty_like(x)  # stage 0 reads x and fills all of it
     for stage in picks.T:
-        for i in np.unique(stage):
-            rows = np.flatnonzero(stage == i)
-            kind, params = COMBINATION_POOL[i]
-            x[rows] = _RECIPES[kind].apply(x[rows], params, rng)
-    return x
+        groups = [[] for _ in COMBINATION_POOL]
+        for w, i in enumerate(stage.tolist()):
+            groups[i].append(w)
+        for (kind, params), rows in zip(COMBINATION_POOL, groups):
+            if rows:
+                out[rows] = _RECIPES[kind].apply(x[rows], params, rng)
+        x = out
+    return out
 
 
 class _Recipe(NamedTuple):

@@ -581,6 +581,17 @@ def _lock(out_dir: Path, held: contextlib.ExitStack):
                 return None
 
 
+def _remove_leftover_tmp(dirs):
+    """Remove the `<name>.<pid>.tmp` files of `atomic_open` that a killed run
+    left in `dirs`, not below them; only a run that holds the lock calls it."""
+    for d in dirs:
+        for name in os.listdir(d) if d.is_dir() else ():
+            stem, _, pid = name.removesuffix(".tmp").rpartition(".")
+            if name.endswith(".tmp") and stem and pid.isascii() and pid.isdecimal():
+                if (d / name).is_file():
+                    (d / name).unlink(missing_ok=True)
+
+
 @contextlib.contextmanager
 def _command_scope():
     """SIGTERM ends the run like Ctrl-C, and each warning prints as one line."""
@@ -616,7 +627,7 @@ def main(argv=None) -> int:
 
     out_dir = Path(args.out)
     command, needs = _COMMANDS[args.command]
-    config, seed = None, args.seed
+    config, seed, locked = None, args.seed, False
     with _command_scope(), contextlib.ExitStack() as held:
         try:
             out_dir.mkdir(parents=True, exist_ok=True)
@@ -624,11 +635,14 @@ def main(argv=None) -> int:
             if holder is not None:  # that run's manifest and outputs are left alone
                 print(f"busy: {out_dir} is the output directory of a live run ({holder})", file=sys.stderr)
                 return EXIT_BUSY
+            locked = True
             config = _load_config(args.config)
             c = _read(_Config, config, "")
             c.raw = config
             seed = args.seed if args.seed is not None else c.seed
             _need(c, needs)
+            cohorts = [out_dir / name for name in c.datasets] if args.command == "synth-gen" else []
+            _remove_leftover_tmp([out_dir, *cohorts, *(d / "records" for d in cohorts)])
             _write_manifest(out_dir, args.command, config, seed, None, None)
             # an overflow or an invalid value is a failed run, not a warning
             with np.errstate(divide="raise", over="raise", invalid="raise"):
@@ -648,9 +662,11 @@ def main(argv=None) -> int:
         except KeyboardInterrupt:
             code, error = EXIT_INTERRUPTED, "interrupted"
         print(error, file=sys.stderr)
-        # the failure record is best effort: the directory may be what failed
-        with contextlib.suppress(OSError):
-            _write_manifest(out_dir, args.command, config, seed, code, error)
+        # the failure record is best effort: the directory may be what failed;
+        # a run that never held the lock leaves the directory's manifest alone
+        if locked:
+            with contextlib.suppress(OSError):
+                _write_manifest(out_dir, args.command, config, seed, code, error)
         return code
 
 

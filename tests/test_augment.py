@@ -400,3 +400,110 @@ def test_time_warp_window_too_short_rejected_on_every_draw(seed):
 def test_batch_too_short_for_time_warp_rejected():
     with pytest.raises(ValueError, match="window too short"):
         ag.time_warp(np.ones((4, 2, 5)), 3, 10.0, ag.RngStream(0))
+
+
+# Oracles: the recipes as they read before the combination rewrite, verbatim
+# but for the `ag.` prefix of the helpers they share with the module. The
+# rewrite must give their bytes and leave the generator where they leave it.
+def _oracle_gaussian_noise(x, p, rng):
+    """Additive i.i.d. Normal(0, sigma^2) noise on every sample."""
+    noise = rng.generator.normal(0.0, p["sigma"], size=x.shape)
+    noise += x
+    return noise
+
+
+def _oracle_emg_noise(x, p, rng):
+    """High-pass-filtered white noise simulating muscle-activity artifacts.
+
+    The noise is brick-wall filtered above 0.3 x Nyquist in the frequency
+    domain, then rescaled so each window's sample std is sigma again.
+    """
+    n = x.shape[2]
+    spec = np.fft.rfft(rng.generator.normal(0.0, p["sigma"], size=x.shape), axis=2)
+    spec[:, :, np.fft.rfftfreq(n) < 0.15] = 0.0  # cycles per sample; Nyquist = 0.5
+    filtered = np.fft.irfft(spec, n=n, axis=2)
+    std = filtered.std(axis=(1, 2))
+    filtered *= np.divide(p["sigma"], std, out=np.ones_like(std), where=std > 0)[:, None, None]
+    filtered += x
+    return filtered
+
+
+def _oracle_mask(x, p, rng):
+    """Zero a contiguous c% run per lead, c drawn once per window from [a, b]."""
+    n_windows, n_leads, n = x.shape
+    c = rng.generator.uniform(p["a_pct"], p["b_pct"], size=n_windows)
+    run = np.round(c / 100.0 * n).astype(np.int64)[:, None]
+    start = rng.generator.integers(0, n - run + 1, size=(n_windows, n_leads))
+    t = np.arange(n)
+    return np.where((t >= start[..., None]) & (t < (start + run)[..., None]), 0.0, x)
+
+
+def _oracle_time_warp(x, p, rng):
+    """Stretch a random half of w segments by r% and squeeze the rest.
+
+    Total length is preserved exactly. For w = 1 the single segment is split
+    into two halves internally so that one can stretch and the other squeeze.
+    """
+    n_windows, _, n = x.shape
+    w = int(p["w"])
+    if n < 2 * w:
+        raise ValueError("window too short for the requested segment count")
+    ag._check_fit(n, w, p["r_pct"])
+    n_seg, n_stretch = ag._segment_counts(w)
+    stretched = np.sort(ag._orders(rng, n_windows, n_seg)[:, :n_stretch], axis=1)
+    out = np.empty_like(x)
+    for s in np.unique(stretched, axis=0):
+        rows = np.flatnonzero((stretched == s).all(axis=1))
+        lo, hi, frac = ag._warp_plan(n, w, p["r_pct"], tuple(s.tolist()))
+        windows = x[rows]
+        y0 = np.take(windows, lo, axis=2)
+        with np.errstate(invalid="ignore", over="ignore"):  # huge values may overflow
+            warped = np.take(windows, hi, axis=2) - y0
+            warped *= frac
+            warped += y0
+        out[rows] = warped
+    return out
+
+
+def _oracle_combine(x, p, rng):
+    """Apply four distinct augmentations drawn without replacement, in order.
+
+    Each window takes the first four of a random order of the pool. Each
+    stage applies each pool recipe once, to the windows that picked it.
+    """
+    picks = ag._orders(rng, x.shape[0], len(ag.COMBINATION_POOL))[:, :4]
+    x = x.copy()
+    for stage in picks.T:
+        for i in np.unique(stage):
+            rows = np.flatnonzero(stage == i)
+            kind, params = ag.COMBINATION_POOL[i]
+            x[rows] = ORACLES[kind](x[rows], params, rng)
+    return x
+
+
+ORACLES = {kind: recipe.apply for kind, recipe in ag._RECIPES.items()} | {
+    "GaussianNoise": _oracle_gaussian_noise,
+    "EmgNoise": _oracle_emg_noise,
+    "Masking": _oracle_mask,
+    "TimeWarping": _oracle_time_warp,
+    "Combination": _oracle_combine,
+}
+
+
+@pytest.mark.parametrize("batch", [1, 2, 7, 30])
+@pytest.mark.parametrize("spec", BATCH_SPECS, ids=spec_id)
+def test_recipes_give_the_oracles_bytes_and_stream_state(spec, batch):
+    for leads in (1, 12):
+        for n in (37, 250, 251):
+            seed = 1000 * batch + 10 * leads + n
+            X = np.random.default_rng(seed).standard_normal((batch, leads, n))
+            X[0, 0, :3] = -0.0
+            X[-1, -1, n // 2] = 1e308
+            before = X.copy()
+            mine, oracle = ag.RngStream(seed), ag.RngStream(seed)
+            with np.errstate(over="ignore", invalid="ignore"):  # 1e308 scaled by up to 3
+                got = ag._RECIPES[spec.kind].apply(X, spec.params, mine)
+                expect = ORACLES[spec.kind](X, spec.params, oracle)
+            assert got.tobytes() == expect.tobytes(), (leads, n)
+            assert mine.generator.bit_generator.state == oracle.generator.bit_generator.state
+            assert X.tobytes() == before.tobytes()

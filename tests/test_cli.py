@@ -1250,10 +1250,13 @@ class TestOutputLock:
             raise OSError(errno.EOPNOTSUPP, os.strerror(errno.EOPNOTSUPP))
 
         monkeypatch.setattr(cli.fcntl, "flock", unsupported)
-        code, line = run_failing("augment-preview", preview(data_dir, "Negation", {}), tmp_path, capsys)
         out = tmp_path / "out"
+        out.mkdir()
+        (out / "manifest.json").write_text('{"status": "running"}')  # another run's
+        code, line = run_failing("augment-preview", preview(data_dir, "Negation", {}), tmp_path, capsys)
         assert (code, line) == (4, f"runtime error: cannot lock {out / '.lock'}: "
                                    f"{os.strerror(errno.EOPNOTSUPP)}")
+        assert (out / "manifest.json").read_text() == '{"status": "running"}'
 
     def test_threads_never_hold_it_together(self, tmp_path):
         # flock excludes separate opens of the file within one process too
@@ -1290,6 +1293,49 @@ class TestOutputLock:
         assert not any(w.is_alive() for w in workers)
         assert errors == [] and (most[0], taken[0]) == (1, 8 * 200)
         assert not (tmp_path / ".lock").exists()
+
+
+def tree(root: Path) -> dict:
+    """{path relative to root: bytes} of every file below root."""
+    return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def plant(root: Path, names) -> dict:
+    """Write each of `names` below root, as a killed run might have left it."""
+    for name in names:
+        (root / name).parent.mkdir(parents=True, exist_ok=True)
+        (root / name).write_text(f"partial {name}")
+    return tree(root)
+
+
+class TestLeftoverTemporaryFiles:
+    # `atomic_open`'s temporary files, which a SIGKILL leaves behind
+    LEFTOVER = ["metrics.json.4242.tmp", "finetuned.ckpt.7.tmp", "manifest.json.123456.tmp"]
+    # not of that form, or below another run's output directory
+    FOREIGN = ["notes.tmp", "metrics.json.12a.tmp", "metrics.json.tmp", "sub/metrics.json.77.tmp"]
+
+    def test_lineval_rerun_removes_them(self, data_dir, pretrain_dir, tmp_path):
+        cfg = write_config(tmp_path / "lin.json", lin(
+            data_dir, pretrain_dir / "checkpoint.ckpt",
+            fractions=[0.6, 0.2, 0.2], finetune={"epochs": 1, "batch_size": 8},
+        ))
+        assert run("lineval", cfg, tmp_path / "clean", seed=2) == 0
+        kept = plant(tmp_path / "out", self.FOREIGN)
+        plant(tmp_path / "out", self.LEFTOVER)
+        assert run("lineval", cfg, tmp_path / "out", seed=2) == 0
+        assert tree(tmp_path / "out") == tree(tmp_path / "clean") | kept
+
+    def test_synth_gen_rerun_removes_them_from_each_cohort(self, tmp_path):
+        cfg = write_config(tmp_path / "gen.json", {"datasets": {"c1": {
+            "classes": ["normal"], "n_subjects_per_class": 2, "beats_per_record": 8,
+        }}})
+        assert run("synth-gen", cfg, tmp_path / "clean", seed=3) == 0
+        kept = plant(tmp_path / "out", self.FOREIGN + [
+            "c2/labels.csv.5.tmp", "c1/records/sub/x.esig.6.tmp", "c1/notes.tmp",
+        ])
+        plant(tmp_path / "out", self.LEFTOVER + ["c1/labels.csv.8.tmp", "c1/records/s0.esig.9.tmp"])
+        assert run("synth-gen", cfg, tmp_path / "out", seed=3) == 0
+        assert tree(tmp_path / "out") == tree(tmp_path / "clean") | kept
 
 
 class _Unwritable(float):
